@@ -1,14 +1,9 @@
-// Experiment R8: morsel-driven intra-query parallelism (DESIGN.md §12).
-// Scaling curves over parallelism 1/2/4/8 for the three stream engines on a
-// twig-heavy XMark workload, the adversarial one-element-morsel split (the
-// overhead ceiling), and the parallel deep scrub over a multi-megabyte
-// store. The serial rows double as the no-regression baseline: parallelism
-// 1 takes the untouched serial path, so R8/p1 must track the engine's
-// pre-parallelism numbers. Note CI hosts are often 1-core: speedup there is
-// ~1.0x by construction, so EXPERIMENTS.md records curves from a ≥4-core
-// machine — every row carries a `hw_threads` counter so a JSON result file
-// is self-describing about whether its speedups are trustworthy
-// (hw_threads >= 4) or bounded by the host (hw_threads < requested lanes).
+// Experiment R8 (remaining row): the parallel deep scrub over a
+// multi-megabyte store — whole-file CRC over chunk lanes folded with
+// Crc32Combine plus the full structural verify — at lane counts 1/2/4/8 on
+// the shared MorselPool (DESIGN.md §12). Every row carries a `hw_threads`
+// counter so a result file says whether its lane counts had cores behind
+// them (hw_threads >= lanes) or were time-sliced.
 
 #include <benchmark/benchmark.h>
 
@@ -23,94 +18,8 @@
 namespace xmlq::bench {
 namespace {
 
-constexpr int kScale = 300;  // XMark permille: large enough to split well
+constexpr int kScale = 300;  // XMark permille: a ~4.5 MB snapshot
 
-api::Database* SharedDb() {
-  static api::Database* db = [] {
-    auto* d = new api::Database;
-    datagen::AuctionOptions options;
-    options.scale = kScale / 1000.0;
-    if (!d->RegisterDocument("auction.xml",
-                             datagen::GenerateAuctionSite(options))
-             .ok()) {
-      std::abort();
-    }
-    return d;
-  }();
-  return db;
-}
-
-void RunParallel(benchmark::State& state, const char* path,
-                 exec::PatternStrategy strategy, size_t morsel_elements) {
-  api::Database* db = SharedDb();
-  api::QueryOptions options;
-  options.auto_optimize = false;
-  options.strategy = strategy;
-  options.parallelism = static_cast<uint32_t>(state.range(0));
-  options.morsel_elements = morsel_elements;
-  size_t results = 0;
-  for (auto _ : state) {
-    auto result = db->QueryPath(path, {}, options);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    results = result->value.size();
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["results"] = static_cast<double>(results);
-  state.counters["hw_threads"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-
-// The headline twig workload: two existence predicates + output leaf.
-void BM_TwigStackTwig(benchmark::State& state) {
-  RunParallel(state, "//person[address][phone]/name",
-              exec::PatternStrategy::kTwigStack, /*morsel_elements=*/0);
-}
-BENCHMARK(BM_TwigStackTwig)
-    ->Name("R8/twigstack_twig")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_NokTwig(benchmark::State& state) {
-  RunParallel(state, "//person[address][phone]/name",
-              exec::PatternStrategy::kNok, /*morsel_elements=*/0);
-}
-BENCHMARK(BM_NokTwig)
-    ->Name("R8/nok_twig")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Linear chain for PathStack.
-void BM_PathStackChain(benchmark::State& state) {
-  RunParallel(state, "/site/people/person/profile/interest",
-              exec::PatternStrategy::kPathStack, /*morsel_elements=*/0);
-}
-BENCHMARK(BM_PathStackChain)
-    ->Name("R8/pathstack_chain")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Edge-at-a-time structural joins; morsels fan out per edge.
-void BM_BinaryJoinTwig(benchmark::State& state) {
-  RunParallel(state, "//open_auction[bidder]/current",
-              exec::PatternStrategy::kBinaryJoin, /*morsel_elements=*/0);
-}
-BENCHMARK(BM_BinaryJoinTwig)
-    ->Name("R8/binaryjoin_twig")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// The overhead ceiling: one region-stream element per morsel maximizes
-// scheduling + preseed cost relative to useful work. Slowdown vs the auto
-// split bounds what a pathological splitter decision can cost.
-void BM_TwigStackAdversarial(benchmark::State& state) {
-  RunParallel(state, "//person[address][phone]/name",
-              exec::PatternStrategy::kTwigStack, /*morsel_elements=*/1);
-}
-BENCHMARK(BM_TwigStackAdversarial)
-    ->Name("R8/twigstack_adversarial_morsel1")
-    ->Arg(1)->Arg(4);
-
-// Parallel deep scrub: whole-file chunked CRC + full structural verify of
-// a multi-megabyte snapshot, the storage-side consumer of the morsel pool.
 void BM_DeepScrub(benchmark::State& state) {
   const std::string dir = "bench_parallel_store";
   std::filesystem::remove_all(dir);

@@ -51,11 +51,9 @@ void PrintHelp() {
       "                          naive, or 'auto' for the cost model\n"
       "  .limits steps <n> | deadline <ms> | memory <bytes> | off\n"
       "                          bound every following query\n"
-      "  .set parallelism <n>    intra-query worker lanes for every\n"
-      "                          following query (and .scrub): 1 = serial,\n"
+      "  .set parallelism <n>    verification lanes for .attach and .scrub\n"
+      "                          (queries always run serially): 1 = serial,\n"
       "                          0 = all hardware threads\n"
-      "  .set morsel <n>         target region-stream elements per morsel\n"
-      "                          (0 = auto; 1 = adversarial one-node morsels)\n"
       "  .report [name]          storage footprint of a document\n"
       "  .save <name> <file>     write a document as an xqpack snapshot\n"
       "  .open <name> <file> [mmap|copy]\n"
@@ -101,6 +99,7 @@ int main() {
   std::vector<std::unique_ptr<BackgroundJob>> jobs;
   std::unique_ptr<xmlq::repl::ReplicationClient> repl;
   xmlq::api::QueryOptions options;
+  uint32_t verify_lanes = 1;  // .attach / .scrub lanes (.set parallelism)
   std::printf("xmlq shell — .help for commands\n");
 
   std::string line;
@@ -221,17 +220,13 @@ int main() {
       uint64_t value = 0;
       in >> knob >> value;
       if (knob == "parallelism") {
-        options.parallelism = static_cast<uint32_t>(value);
-        std::printf("parallelism: %u%s\n", options.parallelism,
-                    options.parallelism == 0 ? " (all hardware threads)"
-                    : options.parallelism == 1 ? " (serial)"
-                                               : "");
-      } else if (knob == "morsel") {
-        options.morsel_elements = static_cast<size_t>(value);
-        std::printf("morsel target: %zu%s\n", options.morsel_elements,
-                    options.morsel_elements == 0 ? " (auto)" : "");
+        verify_lanes = static_cast<uint32_t>(value);
+        std::printf("parallelism (.attach/.scrub): %u%s\n", verify_lanes,
+                    verify_lanes == 0   ? " (all hardware threads)"
+                    : verify_lanes == 1 ? " (serial)"
+                                        : "");
       } else {
-        std::printf("usage: .set parallelism <n> | morsel <n>\n");
+        std::printf("usage: .set parallelism <n>\n");
       }
       continue;
     }
@@ -313,7 +308,7 @@ int main() {
       const auto mode = mode_word == "copy"
                             ? xmlq::storage::SnapshotOpenMode::kCopy
                             : xmlq::storage::SnapshotOpenMode::kMap;
-      auto report = db.Attach(dir, mode, options.parallelism);
+      auto report = db.Attach(dir, mode, verify_lanes);
       if (!report.ok()) {
         std::printf("%s\n", report.status().ToString().c_str());
         continue;
@@ -351,7 +346,7 @@ int main() {
       in >> deep_word;
       xmlq::api::ScrubOptions scrub;
       scrub.deep = deep_word == "deep";
-      scrub.parallelism = options.parallelism;
+      scrub.parallelism = verify_lanes;
       auto report = db.Scrub(scrub);
       std::printf("%s", report.ok()
                             ? report->ToString().c_str()

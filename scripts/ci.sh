@@ -29,12 +29,12 @@
 #                       under AddressSanitizer and ThreadSanitizer: cloned
 #                       plans + shared cache entries are where lifetime and
 #                       race bugs would live
-#   8. parallel       — the `par`-labeled morsel-parallel suite (splitter
-#                       properties, pool exactly-once, parallel-vs-serial
-#                       stress with swaps and mid-morsel cancels) under
-#                       ThreadSanitizer and AddressSanitizer: work-stealing
-#                       lanes over shared read-only snapshots are the
-#                       newest race/lifetime surface
+#   8. parallel       — the `par`-labeled suite (morsel pool exactly-once
+#                       and batch isolation, chunked CRC folding, serving
+#                       stress with swaps and cancels beside a parallel
+#                       scrubber) under ThreadSanitizer and
+#                       AddressSanitizer: the pool's work-stealing claim
+#                       counter is shared by Attach and Scrub callers
 #   9. replication    — the `repl`-labeled follower-serving suite (ship +
 #                       apply chaos matrix, crash kill-points incl. the
 #                       promote/epoch boundaries, staleness gate, census
@@ -123,10 +123,10 @@ echo "== asan cache suite =="
 echo "== tsan cache suite =="
 "${ROOT}/tests/run_sanitized.sh" thread -j "${JOBS}" -L cache
 
-# The morsel-parallel suite under both TSan and ASan: lanes race over
-# shared region streams, per-morsel sinks and the work-stealing claim
-# counter while cancels land mid-morsel — exactly the interleavings the
-# uninstrumented tier-1 run can get lucky on.
+# The morsel-pool suite under both TSan and ASan: scrub batches race over
+# the work-stealing claim counter while queries, swaps and cancels run
+# beside them — interleavings the uninstrumented tier-1 run can get lucky
+# on.
 echo "== tsan parallel suite =="
 "${ROOT}/tests/run_sanitized.sh" thread -j "${JOBS}" -L par
 echo "== asan parallel suite =="

@@ -16,6 +16,7 @@
 #include "xmlq/base/fault_injector.h"
 #include "xmlq/base/file_io.h"
 #include "xmlq/base/strings.h"
+#include "xmlq/exec/morsel.h"
 #include "xmlq/xml/parser.h"
 #include "xmlq/xml/serializer.h"
 #include "xmlq/xpath/compiler.h"
@@ -1075,15 +1076,6 @@ exec::EvalContext Database::MakeContext(const CatalogState& catalog,
   }
   context.strategy = options.strategy;
   context.flwor_mode = options.flwor_mode;
-  const uint32_t lanes =
-      options.parallelism != 0
-          ? options.parallelism
-          : std::max(1u, std::thread::hardware_concurrency());
-  if (lanes > 1) {
-    context.par.pool = &exec::MorselPool::Shared();
-    context.par.parallelism = lanes;
-    context.par.morsel_elements = options.morsel_elements;
-  }
   return context;
 }
 
@@ -1355,14 +1347,6 @@ Result<exec::QueryResult> Database::Run(
   result->profile = std::move(profile);
   result->query_id = query_id;
   result->plan_provenance = std::move(hints.provenance);
-  // Scheduling detail, not a plan property — it rides in the provenance
-  // string, never in the profile tree (whose deterministic rendering the
-  // parallel-vs-serial differential harness compares byte for byte).
-  if (context.par.enabled()) {
-    if (!result->plan_provenance.empty()) result->plan_provenance += ", ";
-    result->plan_provenance +=
-        "parallelism " + std::to_string(context.par.parallelism);
-  }
   if (hints.entry != nullptr) {
     // Fold this execution's observations into the entry's feedback state.
     // Un-sampled, un-degraded runs just count; the state machine only moves

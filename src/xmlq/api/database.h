@@ -56,19 +56,11 @@ struct QueryOptions {
   /// cache for this query only (it always compiles fresh); the Database-wide
   /// switch is cache::CacheConfig::enabled via SetPlanCache().
   bool use_plan_cache = true;
-  /// Intra-query parallelism (DESIGN.md §12): worker lanes for eligible τ
-  /// patterns, morsel-parallel over the shared pool. 1 (the default) is the
-  /// serial path, untouched; 0 means "all hardware threads". Results and
-  /// per-operator stats are byte-identical to the serial run at any value.
-  /// Deadlines and cancellation also behave identically; step/memory budgets
-  /// are conservatively sliced across lanes, so a skewed morsel distribution
-  /// may return kResourceExhausted earlier than the serial run would.
-  /// Not part of the plan-cache key: it changes scheduling, never the plan.
+  /// Accepted for wire and API compatibility and without effect on
+  /// evaluation: every τ engine runs its single serial code path at any
+  /// value, so results, stats and budgets do not depend on it. (Attach and
+  /// Scrub take their own lane counts.)
   uint32_t parallelism = 1;
-  /// Morsel granularity in elements per morsel; 0 = automatic (stream
-  /// elements / (lanes * 4)). 1 is the adversarial one-atomic-group-per-
-  /// morsel configuration the differential tests exercise.
-  size_t morsel_elements = 0;
 };
 
 /// Storage-footprint report for one document (experiments E2 and R2).

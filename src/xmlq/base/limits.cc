@@ -15,39 +15,6 @@ ResourceGuard::ResourceGuard(const QueryLimits& limits)
   }
 }
 
-ResourceGuard::ResourceGuard(LaneTag, const ResourceGuard& parent,
-                             uint32_t lanes)
-    : limits_(parent.limits_), armed_(parent.armed_) {
-  if (!armed_) return;
-  const uint32_t n = lanes == 0 ? 1 : lanes;
-  if (limits_.max_steps != 0) {
-    const uint64_t remaining = limits_.max_steps > parent.steps_
-                                   ? limits_.max_steps - parent.steps_
-                                   : 1;
-    limits_.max_steps = std::max<uint64_t>(1, remaining / n);
-  }
-  if (limits_.max_memory_bytes != 0) {
-    const uint64_t remaining =
-        limits_.max_memory_bytes > parent.memory_bytes_
-            ? limits_.max_memory_bytes - parent.memory_bytes_
-            : 1;
-    limits_.max_memory_bytes = std::max<uint64_t>(1, remaining / n);
-  }
-  deadline_ = parent.deadline_;  // absolute: lanes share the query deadline
-  next_poll_ = 1;
-  if (!parent.status_.ok()) {
-    status_ = parent.status_;
-    next_poll_ = 0;
-  }
-}
-
-void ResourceGuard::Absorb(const ResourceGuard& lane) const {
-  steps_ += lane.steps_;
-  memory_bytes_ += lane.memory_bytes_;
-  if (!armed_ || !status_.ok()) return;
-  next_poll_ = std::min(next_poll_, steps_ + 1);
-}
-
 bool ResourceGuard::Poll() const {
   if (!status_.ok()) return true;  // sticky
   if (!armed_) return false;

@@ -89,32 +89,8 @@ class ResourceGuard {
 
   explicit ResourceGuard(const QueryLimits& limits);
 
-  /// Tag type selecting the lane-fork constructor below.
-  struct LaneTag {};
-
-  /// Lane fork for intra-query parallel sections (DESIGN.md §12): each lane
-  /// gets its own guard so the hot Tick path stays single-threaded. The lane
-  /// shares the parent's *absolute* deadline and cancel flags, and receives
-  /// 1/`lanes` of the parent's remaining step/memory budget (at least 1, so
-  /// an exhausted parent trips the lane on its first poll rather than
-  /// dividing by zero into "unlimited"). The slicing is conservative: a
-  /// parallel run can never spend more total budget than the serial run, but
-  /// a lane whose morsels are skewed past its even share trips
-  /// kResourceExhausted earlier than the serial run would. A parent that has
-  /// already tripped produces lanes that trip immediately with the same
-  /// status.
-  ///
-  /// After the parallel section joins, fold each lane back with Absorb() on
-  /// the parent, in lane order, from the owning thread.
-  ResourceGuard(LaneTag, const ResourceGuard& parent, uint32_t lanes);
-
   ResourceGuard(const ResourceGuard&) = delete;
   ResourceGuard& operator=(const ResourceGuard&) = delete;
-
-  /// Folds a joined lane's consumption back into this (parent) guard and
-  /// schedules a prompt poll so an over-budget total trips on the next Tick.
-  /// Call only after the lane's thread has finished (not thread-safe).
-  void Absorb(const ResourceGuard& lane) const;
 
   bool armed() const { return armed_; }
 

@@ -7,7 +7,6 @@
 #include "xmlq/exec/hybrid.h"
 #include "xmlq/exec/op_stats.h"
 #include "xmlq/exec/naive_nav.h"
-#include "xmlq/exec/parallel_match.h"
 #include "xmlq/exec/path_stack.h"
 #include "xmlq/exec/structural_join.h"
 #include "xmlq/exec/twig_stack.h"
@@ -86,44 +85,23 @@ Result<NodeList> Executor::MatchPattern(const IndexedDocument& doc,
                                         OpStats* stats) const {
   const ResourceGuard* guard = context_->guard;
   const PatternStrategy chosen = context_->strategy;
-  const ParallelSpec& par = context_->par;
-  // Each stream engine first offers the pattern to its morsel-parallel
-  // driver; nullopt means ineligible (or parallelism off) and the serial
-  // engine runs — including reproducing its canonical validation errors.
   auto run = [&](PatternStrategy strategy) -> Result<NodeList> {
     switch (strategy) {
       case PatternStrategy::kNok:
-        return HybridMatch(doc, pattern, guard, stats, &par);
-      case PatternStrategy::kTwigStack: {
-        if (auto r = ParallelTwigStackMatch(doc, pattern, par, guard, stats)) {
-          return std::move(*r);
-        }
+        return HybridMatch(doc, pattern, guard, stats);
+      case PatternStrategy::kTwigStack:
         return TwigStackMatch(doc, pattern, guard, stats);
-      }
       case PatternStrategy::kPathStack: {
-        bool linear = true;
+        // Branching patterns are outside PathStack's chain subset.
         for (algebra::VertexId v = 0; v < pattern.VertexCount(); ++v) {
-          if (pattern.vertex(v).children.size() > 1) linear = false;
-        }
-        if (linear) {
-          if (auto r =
-                  ParallelPathStackMatch(doc, pattern, par, guard, stats)) {
-            return std::move(*r);
+          if (pattern.vertex(v).children.size() > 1) {
+            return TwigStackMatch(doc, pattern, guard, stats);
           }
-          return PathStackMatch(doc, pattern, guard, stats);
         }
-        if (auto r = ParallelTwigStackMatch(doc, pattern, par, guard, stats)) {
-          return std::move(*r);
-        }
-        return TwigStackMatch(doc, pattern, guard, stats);
+        return PathStackMatch(doc, pattern, guard, stats);
       }
-      case PatternStrategy::kBinaryJoin: {
-        if (auto r =
-                ParallelBinaryJoinPlanMatch(doc, pattern, par, guard, stats)) {
-          return std::move(*r);
-        }
+      case PatternStrategy::kBinaryJoin:
         return BinaryJoinPlanMatch(doc, pattern, {}, nullptr, guard, stats);
-      }
       case PatternStrategy::kNaive:
         return NaiveMatchPattern(*doc.dom, pattern, guard, stats);
     }

@@ -10,7 +10,6 @@
 #include "xmlq/algebra/logical_plan.h"
 #include "xmlq/base/limits.h"
 #include "xmlq/base/status.h"
-#include "xmlq/exec/morsel.h"
 #include "xmlq/exec/node_stream.h"
 #include "xmlq/exec/op_stats.h"
 
@@ -81,11 +80,6 @@ struct EvalContext {
   /// an engine fault or quarantine rerouted a pattern to the naive engine.
   /// Not owned.
   FallbackInfo* fallback = nullptr;
-  /// Intra-query parallelism (DESIGN.md §12). Default-constructed (pool
-  /// null / parallelism 1) keeps every engine on its serial path. When
-  /// enabled, eligible τ patterns run morsel-parallel with results and
-  /// OpStats byte-identical to the serial engines.
-  ParallelSpec par;
 };
 
 /// Holds a query's output plus any documents constructed by γ (node items

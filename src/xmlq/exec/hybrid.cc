@@ -58,8 +58,7 @@ bool NeedsFallback(const PatternGraph& graph, const NokPartition& partition,
 
 Result<NodeList> HybridMatch(const IndexedDocument& doc,
                              const PatternGraph& pattern,
-                             const ResourceGuard* guard, OpStats* stats,
-                             const ParallelSpec* par) {
+                             const ResourceGuard* guard, OpStats* stats) {
   if (XMLQ_FAULT("exec.nok.match")) {
     return Status::Internal("injected fault: exec.nok.match");
   }
@@ -122,16 +121,7 @@ Result<NodeList> HybridMatch(const IndexedDocument& doc,
       candidates_ptr = &candidates;
       if (stats != nullptr) stats->index_probes += stream.size();
     }
-    // The localized candidate scans are the parallel surface of the hybrid
-    // path: independent subtree windows, chunked over the pool. Whole-doc
-    // scans (wildcard/root heads) and the seam semi-joins below stay serial.
-    const bool chunked = par != nullptr && par->enabled() &&
-                         candidates_ptr != nullptr;
-    auto result =
-        chunked ? MatchNokPartChunked(*doc.succinct, pattern,
-                                      partition.parts[p], requested[p],
-                                      candidates, *par, guard, stats)
-                : MatchNokPart(*doc.succinct, pattern, partition.parts[p],
+    auto result = MatchNokPart(*doc.succinct, pattern, partition.parts[p],
                                requested[p], candidates_ptr, guard, stats);
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kUnsupported) {

@@ -4,7 +4,6 @@
 #include "xmlq/algebra/pattern_graph.h"
 #include "xmlq/base/limits.h"
 #include "xmlq/base/status.h"
-#include "xmlq/exec/morsel.h"
 #include "xmlq/exec/node_stream.h"
 
 namespace xmlq::exec {
@@ -30,17 +29,10 @@ namespace xmlq::exec {
 /// constituent: the NoK scans' `nodes_visited`/`stack_*`/`bytes_touched`,
 /// the seam joins' merge counters, and `index_probes` for the candidate
 /// seeds and region lookups.
-///
-/// `par` (optional) enables intra-query parallelism for the localized
-/// candidate scans — the independent subtree windows chunk over the morsel
-/// pool with results and counters byte-identical to the serial run
-/// (DESIGN.md §12). Whole-document scans, seam semi-joins, and the TwigStack
-/// fallback stay serial.
 Result<NodeList> HybridMatch(const IndexedDocument& doc,
                              const algebra::PatternGraph& pattern,
                              const ResourceGuard* guard = nullptr,
-                             OpStats* stats = nullptr,
-                             const ParallelSpec* par = nullptr);
+                             OpStats* stats = nullptr);
 
 }  // namespace xmlq::exec
 

@@ -92,83 +92,6 @@ void MorselPool::RunTasks(Batch& batch, uint32_t lane) {
   batch.cv.notify_all();
 }
 
-LaneGuards::LaneGuards(const ResourceGuard* parent, uint32_t lanes,
-                       size_t tasks)
-    : parent_(parent) {
-  if (parent_ == nullptr) return;
-  // Slice by the requested lane count (deterministic in the caller's
-  // parallelism alone), but allocate only as many guards as MorselPool::Run
-  // can hand out lane ids for — defense-in-depth against a huge `lanes`.
-  const uint32_t n = std::max<uint32_t>(1, lanes);
-  const uint32_t count =
-      std::max<uint32_t>(1, static_cast<uint32_t>(std::min<uint64_t>(n, tasks)));
-  for (uint32_t i = 0; i < count; ++i) {
-    guards_.emplace_back(ResourceGuard::LaneTag{}, *parent_, n);
-  }
-}
-
-void LaneGuards::Absorb() {
-  if (parent_ == nullptr || absorbed_) return;
-  absorbed_ = true;
-  for (const ResourceGuard& lane : guards_) parent_->Absorb(lane);
-}
-
-MorselPlan SplitStreams(
-    const std::vector<std::vector<storage::Region>>& streams,
-    size_t skip_vertex, size_t target_elements, uint32_t lanes) {
-  const size_t k = streams.size();
-  // Merge all participating stream entries by start. Each entry remembers
-  // its vertex so per-vertex boundaries fall out of one scan.
-  struct Entry {
-    uint32_t start;
-    uint32_t end;
-    uint32_t vertex;
-  };
-  std::vector<Entry> merged;
-  size_t total = 0;
-  for (size_t v = 0; v < k; ++v) {
-    if (v == skip_vertex) continue;
-    total += streams[v].size();
-  }
-  merged.reserve(total);
-  for (size_t v = 0; v < k; ++v) {
-    if (v == skip_vertex) continue;
-    for (const storage::Region& r : streams[v]) {
-      merged.push_back(Entry{r.start, r.end, static_cast<uint32_t>(v)});
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Entry& a, const Entry& b) { return a.start < b.start; });
-
-  MorselPlan plan;
-  if (merged.empty()) return plan;  // count() == 0: caller runs serially
-
-  size_t target = target_elements;
-  if (target == 0) {
-    const size_t want_morsels = std::max<size_t>(1, size_t{lanes} * 4);
-    target = std::max<size_t>(1, merged.size() / want_morsels);
-  }
-
-  // One pass: a cut is legal where the next start lies strictly past every
-  // earlier end (no spanning region). Coalesce atomic groups until the
-  // current morsel reaches `target`, then emit the per-vertex boundary row.
-  std::vector<size_t> cursor(k, 0);  // per-vertex consumed counts
-  plan.bounds.push_back(std::vector<size_t>(k, 0));
-  uint32_t running_max_end = 0;
-  size_t in_morsel = 0;
-  for (size_t i = 0; i < merged.size(); ++i) {
-    if (i > 0 && merged[i].start > running_max_end && in_morsel >= target) {
-      plan.bounds.push_back(cursor);
-      in_morsel = 0;
-    }
-    running_max_end = std::max(running_max_end, merged[i].end);
-    ++cursor[merged[i].vertex];
-    ++in_morsel;
-  }
-  plan.bounds.push_back(std::move(cursor));
-  return plan;
-}
-
 std::vector<size_t> SplitEvenly(size_t n, size_t min_chunk,
                                 size_t max_chunks) {
   const size_t floor = std::max<size_t>(1, min_chunk);

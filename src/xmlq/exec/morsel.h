@@ -9,35 +9,30 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
-#include "xmlq/base/limits.h"
-#include "xmlq/storage/region_index.h"
-
 namespace xmlq::exec {
 
-/// A small shared worker pool for intra-query parallelism (DESIGN.md §12).
-///
-/// Queries hand the pool a batch of independent *morsels* (tasks); the
-/// calling thread always participates as lane 0 and up to `lanes - 1` pool
-/// threads join opportunistically. Tasks are claimed from a shared atomic
-/// counter, so a worker that finishes early steals the remaining tasks —
-/// work stealing by claiming, the same shape as the net tier's worker pool
-/// but with batch-scoped completion instead of per-job queues.
+/// A small shared worker pool for parallel snapshot verification
+/// (DESIGN.md §12): Attach and Scrub hand it a batch of independent tasks
+/// (whole-file CRC chunks, per-record verifies); the calling thread always
+/// participates as lane 0 and up to `lanes - 1` pool threads join
+/// opportunistically. Tasks are claimed from a shared atomic counter, so a
+/// worker that finishes early steals the remaining tasks — work stealing by
+/// claiming, the same shape as the net tier's worker pool but with
+/// batch-scoped completion instead of per-job queues.
 ///
 /// Determinism contract: which lane runs which task is scheduling-dependent,
-/// so per-task state (results, OpStats sinks, errors) must be indexed by
-/// task, never by lane. Lane count and budget slicing depend only on the
-/// requested parallelism, not on how many pool threads actually show up.
+/// so per-task state (CRCs, verify results) must be indexed by task, never
+/// by lane.
 ///
 /// Threads are spawned lazily up to the configured maximum and sleep when
 /// idle. Run() must not be called from inside a batch callback (no nested
-/// batches — the engine drivers are leaves).
+/// batches).
 class MorselPool {
  public:
-  /// Process-wide pool shared by queries and the scrubber. Never destroyed
+  /// Process-wide pool shared by Attach and the scrubber. Never destroyed
   /// (intentionally leaked so pool threads outlive static teardown).
   static MorselPool& Shared();
 
@@ -80,98 +75,10 @@ class MorselPool {
   bool stop_ = false;
 };
 
-/// Knobs for one parallel execution attempt, carried on the EvalContext and
-/// threaded into the engine drivers. Default-constructed = serial.
-struct ParallelSpec {
-  MorselPool* pool = nullptr;
-  uint32_t parallelism = 1;
-  /// Morsel sizing: target stream elements (or NoK candidates) per morsel.
-  /// 0 = auto (a few morsels per lane); 1 = one atomic group per morsel,
-  /// the adversarial configuration the differential harness runs.
-  size_t morsel_elements = 0;
-
-  bool enabled() const { return pool != nullptr && parallelism > 1; }
-};
-
-/// Forks one ResourceGuard per lane and folds them back on destruction —
-/// ResourceGuard's hot path is deliberately not thread-safe, so concurrent
-/// lanes must never share the parent. A null parent yields null lane guards
-/// (unlimited). Only min(lanes, tasks) guards are allocated — MorselPool::Run
-/// never hands out lane ids beyond that — so the allocation scales with
-/// actual work, not with a caller-supplied u32; budget slicing still divides
-/// by the requested `lanes` so the slices are independent of the morsel
-/// count. Absorb happens in lane order on the owning thread; callers should
-/// Tick(0) the parent afterwards so an over-budget total or a deadline/cancel
-/// observed by a lane trips the parent promptly.
-class LaneGuards {
- public:
-  LaneGuards(const ResourceGuard* parent, uint32_t lanes, size_t tasks);
-  ~LaneGuards() { Absorb(); }
-
-  LaneGuards(const LaneGuards&) = delete;
-  LaneGuards& operator=(const LaneGuards&) = delete;
-
-  /// `i` must be a lane id from the matching MorselPool::Run call, i.e.
-  /// i < min(lanes, tasks).
-  const ResourceGuard* lane(uint32_t i) const {
-    return parent_ == nullptr ? nullptr : &guards_[i];
-  }
-
-  /// Number of guards actually allocated (min(lanes, tasks); 0 with a null
-  /// parent).
-  size_t lane_count() const { return guards_.size(); }
-
-  /// Folds lane consumption into the parent now (idempotent).
-  void Absorb();
-
- private:
-  const ResourceGuard* parent_;
-  std::deque<ResourceGuard> guards_;  // deque: ResourceGuard is immovable
-  bool absorbed_ = false;
-};
-
-/// Document-order partitioning of per-vertex region streams into morsels.
-///
-/// `bounds` has count()+1 rows of stream indices: morsel m covers, for every
-/// vertex v, the half-open slice [bounds[m][v], bounds[m+1][v]) of stream v.
-/// Row 0 is all zeros and the last row holds the stream sizes, so the slices
-/// are disjoint and cover every stream. Cuts are placed only where no region
-/// from any participating stream spans the boundary (subtree-closed), which
-/// is what makes per-morsel matching equivalent to the serial run.
-struct MorselPlan {
-  std::vector<std::vector<size_t>> bounds;
-
-  size_t count() const { return bounds.empty() ? 0 : bounds.size() - 1; }
-
-  std::span<const storage::Region> Sub(
-      const std::vector<std::vector<storage::Region>>& streams, size_t morsel,
-      size_t vertex) const {
-    const size_t lo = bounds[morsel][vertex];
-    const size_t hi = bounds[morsel + 1][vertex];
-    return std::span<const storage::Region>(streams[vertex].data() + lo,
-                                            hi - lo);
-  }
-};
-
-/// Splits `streams` (one document-ordered region stream per pattern vertex)
-/// into document-order morsels. `skip_vertex` (the pattern root, whose
-/// single document region spans everything) is excluded from cut placement
-/// and gets empty slices in every morsel; pass streams.size() to skip none.
-///
-/// A legal cut is a position where, scanning all participating regions by
-/// start, the next start lies strictly past every earlier end — no region
-/// straddles the cut. Atomic groups between cuts are then coalesced greedily
-/// until each morsel holds at least `target_elements` regions (0 = auto:
-/// roughly four morsels per lane). Every returned morsel is nonempty; a
-/// document with no legal cut (one deep chain) yields a single morsel.
-MorselPlan SplitStreams(
-    const std::vector<std::vector<storage::Region>>& streams,
-    size_t skip_vertex, size_t target_elements, uint32_t lanes);
-
 /// Chunk boundaries for splitting `n` items into at most `max_chunks`
 /// contiguous near-equal chunks of at least `min_chunk` items each (the
-/// candidate-list splitter for NoK). Returns chunks+1 indices, first 0,
-/// last n; for n == 0 returns {0, 0} (one empty chunk).
+/// whole-file CRC splitter). Returns chunks+1 indices, first 0, last n;
+/// for n == 0 returns {0, 0} (one empty chunk).
 std::vector<size_t> SplitEvenly(size_t n, size_t min_chunk,
                                 size_t max_chunks);
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "xmlq/exec/morsel.h"
 
 namespace xmlq::exec {
 
@@ -157,8 +156,6 @@ class Scanner {
     Finish();
     return std::move(result_);
   }
-
-  bool tripped() const { return tripped_; }
 
  private:
   /// Scans BP positions [begin, end]. When the head cannot anchor below the
@@ -386,9 +383,6 @@ class Scanner {
 
 /// The degenerate single-vertex localized path: the candidates *are* the
 /// matches (the tag stream is exact); only value predicates need checking.
-/// Shared by the serial and chunked entries — candidates arrive in document
-/// order, so concatenating chunk outputs in chunk order reproduces the
-/// serial result and counters exactly.
 Status MatchSingleVertexCandidates(const SuccinctDocument& doc,
                                    const PatternVertex& head,
                                    std::span<const uint32_t> candidates,
@@ -454,99 +448,6 @@ Result<NokMatchResult> MatchNokPart(const SuccinctDocument& doc,
   NokMatchResult result = scanner.Run();
   XMLQ_GUARD_TICK(guard, 0);  // surface a mid-scan trip
   return result;
-}
-
-Result<NokMatchResult> MatchNokPartChunked(
-    const SuccinctDocument& doc, const PatternGraph& graph,
-    const NokPart& part, std::span<const VertexId> requested,
-    std::span<const uint32_t> head_candidates, const ParallelSpec& par,
-    const ResourceGuard* guard, OpStats* stats) {
-  XMLQ_ASSIGN_OR_RETURN(CompiledPart compiled,
-                        Compile(doc, graph, part, requested));
-  NokMatchResult merged;
-  merged.pairs.resize(requested.size());
-  merged.bindings.resize(requested.size());
-  if (compiled.never_matches) return merged;
-
-  // Chunk sizing: auto mode aims for a few chunks per lane with a floor
-  // that keeps small candidate lists effectively serial; an explicit
-  // morsel_elements (the adversarial differential config) is honored down
-  // to one candidate per chunk.
-  const size_t n = head_candidates.size();
-  std::vector<size_t> bounds =
-      par.morsel_elements == 0
-          ? SplitEvenly(n, 256, size_t{par.parallelism} * 4)
-          : SplitEvenly(n, par.morsel_elements, n);
-  const size_t chunks = bounds.size() - 1;
-  const bool degenerate = part.vertices.size() == 1;
-
-  LaneGuards lanes(guard, par.parallelism, chunks);
-  std::vector<NokMatchResult> parts(chunks);
-  std::vector<OpStats> sinks(stats != nullptr ? chunks : 0);
-  std::vector<Status> errors(chunks);
-  par.pool->Run(chunks, par.parallelism, [&](size_t c, uint32_t lane) {
-    OpStats* sink = stats != nullptr ? &sinks[c] : nullptr;
-    const ResourceGuard* lane_guard = lanes.lane(lane);
-    const std::span<const uint32_t> span =
-        head_candidates.subspan(bounds[c], bounds[c + 1] - bounds[c]);
-    if (degenerate) {
-      errors[c] = MatchSingleVertexCandidates(doc, graph.vertex(part.head),
-                                              span, requested.size(),
-                                              lane_guard, sink, &parts[c]);
-      return;
-    }
-    Scanner scanner(doc, graph, compiled, requested.size(), lane_guard, sink);
-    parts[c] = scanner.RunOnCandidates(span);
-    if (scanner.tripped() && lane_guard != nullptr) {
-      errors[c] = lane_guard->status();
-    }
-  });
-  lanes.Absorb();
-  XMLQ_GUARD_TICK(guard, 0);  // re-check deadline/cancel/budget on the parent
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  // Deterministic merge in chunk order. Candidates ascend in document
-  // order, so concatenation preserves the serial ordering for heads and
-  // pairs; bindings can overlap across chunks (nested candidate subtrees),
-  // so they get the same Normalize the serial Finish applies. Stats merge
-  // in chunk order too (sums, so the total is schedule-independent).
-  for (size_t c = 0; c < chunks; ++c) {
-    NokMatchResult& p = parts[c];
-    merged.head_matches.insert(merged.head_matches.end(),
-                               p.head_matches.begin(), p.head_matches.end());
-    for (size_t r = 0; r < requested.size(); ++r) {
-      merged.pairs[r].insert(merged.pairs[r].end(), p.pairs[r].begin(),
-                             p.pairs[r].end());
-      merged.bindings[r].insert(merged.bindings[r].end(),
-                                p.bindings[r].begin(), p.bindings[r].end());
-    }
-  }
-  if (!degenerate) {
-    // Re-run the global Finish invariants over the concatenation.
-    std::sort(merged.head_matches.begin(), merged.head_matches.end());
-    merged.head_matches.erase(
-        std::unique(merged.head_matches.begin(), merged.head_matches.end()),
-        merged.head_matches.end());
-    for (auto& pairs : merged.pairs) {
-      std::sort(pairs.begin(), pairs.end(),
-                [](const JoinPair& a, const JoinPair& b) {
-                  if (a.ancestor != b.ancestor) return a.ancestor < b.ancestor;
-                  return a.descendant < b.descendant;
-                });
-      pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                              [](const JoinPair& a, const JoinPair& b) {
-                                return a.ancestor == b.ancestor &&
-                                       a.descendant == b.descendant;
-                              }),
-                  pairs.end());
-    }
-    for (NodeList& list : merged.bindings) Normalize(&list);
-  }
-  if (stats != nullptr) {
-    for (const OpStats& sink : sinks) stats->MergeFrom(sink);
-  }
-  return merged;
 }
 
 Result<NodeList> MatchNokPattern(const SuccinctDocument& doc,

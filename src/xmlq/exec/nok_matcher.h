@@ -7,7 +7,6 @@
 #include "xmlq/algebra/pattern_graph.h"
 #include "xmlq/base/limits.h"
 #include "xmlq/base/status.h"
-#include "xmlq/exec/morsel.h"
 #include "xmlq/exec/node_stream.h"
 #include "xmlq/exec/structural_join.h"
 #include "xmlq/storage/succinct_doc.h"
@@ -67,21 +66,6 @@ Result<NokMatchResult> MatchNokPart(
     const storage::SuccinctDocument& doc, const algebra::PatternGraph& graph,
     const xpath::NokPart& part, std::span<const algebra::VertexId> requested,
     const std::vector<uint32_t>* head_candidates = nullptr,
-    const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
-
-/// Parallel variant of the localized-candidate path (DESIGN.md §12): splits
-/// `head_candidates` into contiguous document-order chunks, scans each chunk
-/// on a morsel-pool lane with its own forked guard and OpStats sink, then
-/// merges in chunk order and re-applies the global result invariants
-/// (sort/unique heads and pairs, Normalize bindings — nested candidate
-/// subtrees can bind the same node from two chunks). The merged result and
-/// the summed counters are byte-identical to the serial localized scan.
-/// `par` must be enabled(); errors surface as the first failing chunk in
-/// chunk order.
-Result<NokMatchResult> MatchNokPartChunked(
-    const storage::SuccinctDocument& doc, const algebra::PatternGraph& graph,
-    const xpath::NokPart& part, std::span<const algebra::VertexId> requested,
-    std::span<const uint32_t> head_candidates, const ParallelSpec& par,
     const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
 
 /// Convenience wrapper: matches a pattern that is a single NoK part (no

@@ -17,22 +17,47 @@ using storage::Region;
 
 constexpr uint32_t kInfinity = std::numeric_limits<uint32_t>::max();
 
-/// Merge core over externally built streams; shared by the serial entry
-/// point (full streams) and the morsel driver (one document-order slice per
-/// run, with `preseed_root` standing in for the document region whose visit
-/// and push the serial run charges once, centrally — DESIGN.md §12).
-Result<NodeList> PathStackRun(const IndexedDocument& doc,
-                              const PatternGraph& pattern, VertexId output,
-                              std::span<const std::span<const Region>> streams,
-                              bool preseed_root, const ResourceGuard* guard,
-                              OpStats* stats) {
+/// Validates the pattern, requires a sole output, a chain shape, and
+/// join-able axes; returns the output vertex.
+Result<VertexId> ValidatePathPattern(const PatternGraph& pattern) {
+  XMLQ_RETURN_IF_ERROR(pattern.Validate());
+  const VertexId output = pattern.SoleOutput();
+  if (output == algebra::kNoVertex) {
+    return Status::InvalidArgument("PathStack requires a sole output vertex");
+  }
+  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
+    if (pattern.vertex(v).children.size() > 1) {
+      return Status::InvalidArgument(
+          "PathStack requires a linear (chain) pattern");
+    }
+    if (v != pattern.root() &&
+        (pattern.vertex(v).incoming_axis == Axis::kFollowingSibling ||
+         pattern.vertex(v).incoming_axis == Axis::kSelf)) {
+      return Status::Unsupported(
+          "PathStack supports child/descendant/attribute arcs only");
+    }
+  }
+  return output;
+}
+
+}  // namespace
+
+Result<NodeList> PathStackMatch(const IndexedDocument& doc,
+                                const PatternGraph& pattern,
+                                const ResourceGuard* guard, OpStats* stats) {
+  if (XMLQ_FAULT("exec.pathstack.match")) {
+    return Status::Internal("injected fault: exec.pathstack.match");
+  }
+  XMLQ_ASSIGN_OR_RETURN(const VertexId output, ValidatePathPattern(pattern));
   const size_t k = pattern.VertexCount();
+  std::vector<std::vector<Region>> streams(k);
+  for (VertexId v = 0; v < k; ++v) {
+    XMLQ_ASSIGN_OR_RETURN(streams[v],
+                          BuildVertexStream(doc, pattern.vertex(v), stats));
+  }
   std::vector<size_t> cursors(k, 0);
   std::vector<std::vector<Region>> stacks(k);
   std::vector<std::vector<JoinPair>> pairs(k);
-  if (preseed_root) {
-    stacks[pattern.root()].push_back(doc.regions->DocumentRegion());
-  }
 
   auto cur_start = [&](VertexId v) {
     return cursors[v] < streams[v].size() ? streams[v][cursors[v]].start
@@ -89,11 +114,8 @@ Result<NodeList> PathStackRun(const IndexedDocument& doc,
     ++visited;
   }
 
-  // Counted drain (minus the uncounted preseed): pops == pushes per run, so
-  // morsel counters sum to the serial totals. The document region's end is
-  // past every stream start, so a preseed always survives to the drain.
+  // Counted drain: pops == pushes for every run.
   for (VertexId v = 0; v < k; ++v) pops += stacks[v].size();
-  if (preseed_root) --pops;
 
   if (stats != nullptr) {
     stats->nodes_visited += visited;
@@ -102,56 +124,6 @@ Result<NodeList> PathStackRun(const IndexedDocument& doc,
   }
   return FilterEdgePairs(pattern, output, pairs,
                          doc.regions->DocumentRegion().start);
-}
-
-}  // namespace
-
-Result<algebra::VertexId> ValidatePathPattern(const PatternGraph& pattern) {
-  XMLQ_RETURN_IF_ERROR(pattern.Validate());
-  const VertexId output = pattern.SoleOutput();
-  if (output == algebra::kNoVertex) {
-    return Status::InvalidArgument("PathStack requires a sole output vertex");
-  }
-  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
-    if (pattern.vertex(v).children.size() > 1) {
-      return Status::InvalidArgument(
-          "PathStack requires a linear (chain) pattern");
-    }
-    if (v != pattern.root() &&
-        (pattern.vertex(v).incoming_axis == Axis::kFollowingSibling ||
-         pattern.vertex(v).incoming_axis == Axis::kSelf)) {
-      return Status::Unsupported(
-          "PathStack supports child/descendant/attribute arcs only");
-    }
-  }
-  return output;
-}
-
-Result<NodeList> PathStackMatch(const IndexedDocument& doc,
-                                const PatternGraph& pattern,
-                                const ResourceGuard* guard, OpStats* stats) {
-  if (XMLQ_FAULT("exec.pathstack.match")) {
-    return Status::Internal("injected fault: exec.pathstack.match");
-  }
-  XMLQ_ASSIGN_OR_RETURN(const VertexId output, ValidatePathPattern(pattern));
-  const size_t k = pattern.VertexCount();
-  std::vector<std::vector<Region>> streams(k);
-  for (VertexId v = 0; v < k; ++v) {
-    XMLQ_ASSIGN_OR_RETURN(streams[v],
-                          BuildVertexStream(doc, pattern.vertex(v), stats));
-  }
-  std::vector<std::span<const Region>> spans(streams.begin(), streams.end());
-  return PathStackRun(doc, pattern, output, spans, /*preseed_root=*/false,
-                      guard, stats);
-}
-
-Result<NodeList> PathStackMatchMorsel(
-    const IndexedDocument& doc, const PatternGraph& pattern,
-    algebra::VertexId output,
-    std::span<const std::span<const Region>> streams, bool preseed_root,
-    const ResourceGuard* guard, OpStats* stats) {
-  return PathStackRun(doc, pattern, output, streams, preseed_root, guard,
-                      stats);
 }
 
 }  // namespace xmlq::exec

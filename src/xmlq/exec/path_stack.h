@@ -1,8 +1,6 @@
 #ifndef XMLQ_EXEC_PATH_STACK_H_
 #define XMLQ_EXEC_PATH_STACK_H_
 
-#include <span>
-
 #include "xmlq/algebra/pattern_graph.h"
 #include "xmlq/base/limits.h"
 #include "xmlq/base/status.h"
@@ -28,26 +26,6 @@ Result<NodeList> PathStackMatch(const IndexedDocument& doc,
                                 const algebra::PatternGraph& pattern,
                                 const ResourceGuard* guard = nullptr,
                                 OpStats* stats = nullptr);
-
-/// Shared eligibility check: validates the pattern, requires a sole output,
-/// a chain shape, and join-able axes; returns the output vertex. Used by
-/// the serial entry point and the morsel driver.
-Result<algebra::VertexId> ValidatePathPattern(
-    const algebra::PatternGraph& pattern);
-
-/// Morsel-run variant (DESIGN.md §12): the merge over externally built
-/// per-vertex stream slices (no stream building, so no index probes).
-/// `preseed_root` pushes the document region onto the root stack uncounted;
-/// the driver charges the document's visit/push/drain-pop once, centrally.
-/// Counters include the end-of-run stack drain, so per-morsel OpStats sum
-/// exactly to the serial totals. The caller must have run
-/// ValidatePathPattern.
-Result<NodeList> PathStackMatchMorsel(
-    const IndexedDocument& doc, const algebra::PatternGraph& pattern,
-    algebra::VertexId output,
-    std::span<const std::span<const storage::Region>> streams,
-    bool preseed_root, const ResourceGuard* guard = nullptr,
-    OpStats* stats = nullptr);
 
 }  // namespace xmlq::exec
 

@@ -1,6 +1,5 @@
 #include "xmlq/exec/structural_join.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "xmlq/base/fault_injector.h"
@@ -16,38 +15,23 @@ namespace {
 /// `guard` trips, the merge stops early (partial output); callers are
 /// responsible for surfacing the guard's sticky status.
 ///
-/// Morsel extensions (DESIGN.md §12): `seeds` are ancestors opened before
-/// this morsel's slice of the streams (the document region for a root edge);
-/// they are pushed and drained *uncounted* because the morsel that owns them
-/// carries their counters, and they must enclose every descendant passed in.
-/// `consume_tail` makes the merge consume + push the ancestors left after
-/// the last descendant — exactly what the serial merge does when a later
-/// morsel's descendant arrives — so per-morsel counters sum to the serial
-/// totals. The serial entry points pass no seeds and no tail.
-///
 /// Every run ends with a counted stack drain, so stack_pops == stack_pushes
-/// per run and the counters decompose across morsels.
+/// per run.
 ///
 /// Observability counters accumulate in registers and commit to `stats`
 /// once at the end, so a null `stats` costs only the increments themselves.
 template <typename Emit>
-void StackTreeMerge(std::span<const Region> seeds,
-                    std::span<const Region> ancestors,
+void StackTreeMerge(std::span<const Region> ancestors,
                     std::span<const Region> descendants, bool parent_child,
-                    bool consume_tail, const ResourceGuard* guard,
-                    OpStats* stats, Emit&& emit) {
-  std::vector<Region> stack(seeds.begin(), seeds.end());
+                    const ResourceGuard* guard, OpStats* stats, Emit&& emit) {
+  std::vector<Region> stack;
   size_t a = 0;
   uint64_t pushes = 0;
   uint64_t pops = 0;
-  bool tripped = false;
   for (const Region& d : descendants) {
     // One step per descendant plus one per stack entry examined below (the
     // output-sensitive part of the merge).
-    if (guard != nullptr && guard->Tick(1 + stack.size())) {
-      tripped = true;
-      break;
-    }
+    if (guard != nullptr && guard->Tick(1 + stack.size())) break;
     // Push every ancestor starting before d (it may enclose d); keep the
     // stack a nesting chain by first popping closed regions.
     while (a < ancestors.size() && ancestors[a].start < d.start) {
@@ -70,20 +54,8 @@ void StackTreeMerge(std::span<const Region> seeds,
       }
     }
   }
-  if (consume_tail && !tripped) {
-    while (a < ancestors.size()) {
-      if (guard != nullptr && guard->Tick(1)) break;
-      while (!stack.empty() && stack.back().end < ancestors[a].start) {
-        stack.pop_back();
-        ++pops;
-      }
-      stack.push_back(ancestors[a]);
-      ++pushes;
-      ++a;
-    }
-  }
-  // Counted drain of everything this run pushed (seeds stay uncounted).
-  pops += stack.size() - std::min(stack.size(), seeds.size());
+  // Counted drain of everything this run pushed.
+  pops += stack.size();
   if (stats != nullptr) {
     // Each side's elements are consumed at most once across the merge.
     stats->nodes_visited += descendants.size() + a;
@@ -100,21 +72,7 @@ std::vector<JoinPair> StructuralJoinPairs(std::span<const Region> ancestors,
                                           const ResourceGuard* guard,
                                           OpStats* stats) {
   std::vector<JoinPair> out;
-  StackTreeMerge({}, ancestors, descendants, parent_child,
-                 /*consume_tail=*/false, guard, stats,
-                 [&out](const Region& a, const Region& d) {
-                   out.push_back(JoinPair{a.start, d.start});
-                 });
-  return out;
-}
-
-std::vector<JoinPair> StructuralJoinPairsMorsel(
-    std::span<const Region> seeds, std::span<const Region> ancestors,
-    std::span<const Region> descendants, bool parent_child,
-    bool consume_ancestor_tail, const ResourceGuard* guard, OpStats* stats) {
-  std::vector<JoinPair> out;
-  StackTreeMerge(seeds, ancestors, descendants, parent_child,
-                 consume_ancestor_tail, guard, stats,
+  StackTreeMerge(ancestors, descendants, parent_child, guard, stats,
                  [&out](const Region& a, const Region& d) {
                    out.push_back(JoinPair{a.start, d.start});
                  });
@@ -127,8 +85,7 @@ NodeList StructuralSemiJoinDesc(std::span<const Region> ancestors,
                                 const ResourceGuard* guard, OpStats* stats) {
   NodeList out;
   xml::NodeId last = xml::kNullNode;
-  StackTreeMerge({}, ancestors, descendants, parent_child,
-                 /*consume_tail=*/false, guard, stats,
+  StackTreeMerge(ancestors, descendants, parent_child, guard, stats,
                  [&out, &last](const Region&, const Region& d) {
                    if (d.start != last) {
                      out.push_back(d.start);
@@ -144,8 +101,7 @@ NodeList StructuralSemiJoinAnc(std::span<const Region> ancestors,
                                bool parent_child,
                                const ResourceGuard* guard, OpStats* stats) {
   NodeList out;
-  StackTreeMerge({}, ancestors, descendants, parent_child,
-                 /*consume_tail=*/false, guard, stats,
+  StackTreeMerge(ancestors, descendants, parent_child, guard, stats,
                  [&out](const Region& a, const Region&) {
                    out.push_back(a.start);
                  });

@@ -37,20 +37,6 @@ std::vector<JoinPair> StructuralJoinPairs(
     std::span<const storage::Region> descendants, bool parent_child,
     const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
 
-/// Morsel variant of StructuralJoinPairs (DESIGN.md §12). `seeds` are
-/// ancestors opened before this morsel's slice (the document region for a
-/// root edge): pushed and drained uncounted, and they must enclose every
-/// descendant. `consume_ancestor_tail` consumes + pushes the ancestors left
-/// after the last descendant — what the serial merge would do when a later
-/// morsel's descendant arrived — so that per-morsel OpStats sum exactly to
-/// the serial run's totals.
-std::vector<JoinPair> StructuralJoinPairsMorsel(
-    std::span<const storage::Region> seeds,
-    std::span<const storage::Region> ancestors,
-    std::span<const storage::Region> descendants, bool parent_child,
-    bool consume_ancestor_tail, const ResourceGuard* guard = nullptr,
-    OpStats* stats = nullptr);
-
 /// Semi-join: distinct descendants having at least one ancestor in
 /// `ancestors`, in document order.
 NodeList StructuralSemiJoinDesc(std::span<const storage::Region> ancestors,

@@ -25,21 +25,15 @@ struct StackEntry {
   size_t parent_count = 0;
 };
 
-/// Phase-1/2 core over externally built per-vertex streams. The serial entry
-/// point runs it over the full streams; the morsel driver (parallel_match)
-/// runs one instance per document-order slice with `preseed_root` standing
-/// in for the document region the owning run consumed (DESIGN.md §12).
+/// Phase-1/2 core over the built per-vertex streams.
 class TwigStackRunner {
  public:
   TwigStackRunner(const IndexedDocument& doc, const PatternGraph& pattern,
-                  std::span<const std::span<const Region>> streams,
-                  bool preseed_root, bool* consumed_root_child,
+                  const std::vector<std::vector<Region>>& streams,
                   const ResourceGuard* guard, OpStats* stats)
       : doc_(doc),
         pattern_(pattern),
         streams_(streams),
-        preseed_root_(preseed_root),
-        consumed_root_child_(consumed_root_child),
         guard_(guard),
         stats_(stats) {}
 
@@ -48,12 +42,6 @@ class TwigStackRunner {
     cursors_.assign(k, 0);
     stacks_.resize(k);
     pairs_.resize(k);
-    if (preseed_root_) {
-      // The document region is open across every morsel; push it uncounted
-      // (the serial run charges its visit/push once, centrally).
-      stacks_[pattern_.root()].push_back(
-          StackEntry{doc_.regions->DocumentRegion(), 0});
-    }
 
     // Phase 1: chained-stack merge.
     while (true) {
@@ -68,10 +56,6 @@ class TwigStackRunner {
       if (q == pattern_.root() || !stacks_[parent].empty()) {
         recorded = Push(q, cur);
       }
-      if (consumed_root_child_ != nullptr && q != pattern_.root() &&
-          parent == pattern_.root()) {
-        *consumed_root_child_ = true;
-      }
       // One step per merge iteration plus one per edge pair recorded (the
       // output-sensitive part of the join's cost).
       XMLQ_GUARD_TICK(guard_, 1 + recorded);
@@ -79,11 +63,8 @@ class TwigStackRunner {
       ++visited_;
     }
 
-    // Counted drain of the chained stacks (minus the uncounted preseed), so
-    // pops == pushes for every run and morsel counters sum to the serial
-    // totals.
+    // Counted drain of the chained stacks, so pops == pushes for every run.
     for (size_t v = 0; v < k; ++v) pops_ += stacks_[v].size();
-    if (preseed_root_) --pops_;
 
     if (stats_ != nullptr) {
       stats_->nodes_visited += visited_;
@@ -186,9 +167,7 @@ class TwigStackRunner {
 
   const IndexedDocument& doc_;
   const PatternGraph& pattern_;
-  std::span<const std::span<const Region>> streams_;
-  bool preseed_root_ = false;
-  bool* consumed_root_child_ = nullptr;
+  const std::vector<std::vector<Region>>& streams_;
   const ResourceGuard* guard_ = nullptr;
   OpStats* stats_ = nullptr;
   uint64_t visited_ = 0;
@@ -199,9 +178,9 @@ class TwigStackRunner {
   std::vector<std::vector<JoinPair>> pairs_;  // indexed by target vertex
 };
 
-}  // namespace
-
-Result<algebra::VertexId> ValidateTwigPattern(const PatternGraph& pattern) {
+/// Validates the pattern, requires a sole output vertex and join-able axes,
+/// and returns the output vertex.
+Result<VertexId> ValidateTwigPattern(const PatternGraph& pattern) {
   XMLQ_RETURN_IF_ERROR(pattern.Validate());
   const VertexId output = pattern.SoleOutput();
   if (output == algebra::kNoVertex) {
@@ -218,6 +197,8 @@ Result<algebra::VertexId> ValidateTwigPattern(const PatternGraph& pattern) {
   return output;
 }
 
+}  // namespace
+
 Result<NodeList> TwigStackMatch(const IndexedDocument& doc,
                                 const PatternGraph& pattern,
                                 const ResourceGuard* guard, OpStats* stats) {
@@ -231,19 +212,7 @@ Result<NodeList> TwigStackMatch(const IndexedDocument& doc,
     XMLQ_ASSIGN_OR_RETURN(streams[v],
                           BuildVertexStream(doc, pattern.vertex(v), stats));
   }
-  std::vector<std::span<const Region>> spans(streams.begin(), streams.end());
-  TwigStackRunner runner(doc, pattern, spans, /*preseed_root=*/false,
-                         /*consumed_root_child=*/nullptr, guard, stats);
-  return runner.Run(output);
-}
-
-Result<NodeList> TwigStackMatchMorsel(
-    const IndexedDocument& doc, const PatternGraph& pattern,
-    algebra::VertexId output,
-    std::span<const std::span<const Region>> streams, bool preseed_root,
-    bool* consumed_root_child, const ResourceGuard* guard, OpStats* stats) {
-  TwigStackRunner runner(doc, pattern, streams, preseed_root,
-                         consumed_root_child, guard, stats);
+  TwigStackRunner runner(doc, pattern, streams, guard, stats);
   return runner.Run(output);
 }
 

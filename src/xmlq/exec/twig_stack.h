@@ -1,8 +1,6 @@
 #ifndef XMLQ_EXEC_TWIG_STACK_H_
 #define XMLQ_EXEC_TWIG_STACK_H_
 
-#include <span>
-
 #include "xmlq/algebra/pattern_graph.h"
 #include "xmlq/base/limits.h"
 #include "xmlq/base/status.h"
@@ -29,29 +27,6 @@ Result<NodeList> TwigStackMatch(const IndexedDocument& doc,
                                 const algebra::PatternGraph& pattern,
                                 const ResourceGuard* guard = nullptr,
                                 OpStats* stats = nullptr);
-
-/// Shared eligibility check for TwigStack-shaped runs: validates the
-/// pattern, requires a sole output vertex and join-able axes, and returns
-/// the output vertex. Used by the serial entry point and the morsel driver.
-Result<algebra::VertexId> ValidateTwigPattern(
-    const algebra::PatternGraph& pattern);
-
-/// Morsel-run variant (DESIGN.md §12): phase 1+2 over externally built
-/// per-vertex streams (one document-order slice each; no stream building,
-/// so no index probes are charged here). `preseed_root` pushes the document
-/// region onto the root stack *uncounted* — every morsel but the one that
-/// owns the document's visit needs it for anchoring. `consumed_root_child`
-/// (optional out) is set when a direct child of the pattern root is
-/// main-loop consumed: the driver uses it to attribute the document's
-/// stack push exactly once across morsels. Both phase-1 counters and the
-/// end-of-run stack drain are counted, so per-morsel OpStats sum exactly to
-/// the serial totals. The caller must have run ValidateTwigPattern.
-Result<NodeList> TwigStackMatchMorsel(
-    const IndexedDocument& doc, const algebra::PatternGraph& pattern,
-    algebra::VertexId output,
-    std::span<const std::span<const storage::Region>> streams,
-    bool preseed_root, bool* consumed_root_child,
-    const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
 
 }  // namespace xmlq::exec
 

@@ -68,8 +68,9 @@ class Client {
   Client& operator=(Client&&) = default;
 
   /// One request, one response (request ids are assigned internally).
-  /// `parallelism` != 1 rides a kQueryOpts frame (per-request intra-query
-  /// worker lanes); 1 sends the plain kQuery frame.
+  /// `parallelism` != 1 rides a kQueryOpts frame, which the server accepts
+  /// and ignores (the answer equals a plain kQuery's); 1 sends the plain
+  /// kQuery frame.
   Result<ResponsePayload> Query(std::string_view text,
                                 uint32_t parallelism = 1);
   Result<ResponsePayload> Ping();

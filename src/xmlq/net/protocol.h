@@ -100,11 +100,11 @@ bool DecodeResponse(std::string_view payload, ResponsePayload* out);
 std::string EncodeCancelTarget(uint64_t target_request_id);
 bool DecodeCancelTarget(std::string_view payload, uint64_t* out);
 
-/// kQueryOpts payload helpers: [u32 parallelism][query text]. The
-/// parallelism field selects this request's intra-query worker lanes
-/// (api::QueryOptions::parallelism — 1 = serial, 0 = all hardware threads),
-/// overriding the server's configured default. A plain kQuery frame keeps
-/// the default, so existing clients are unaffected.
+/// kQueryOpts payload helpers: [u32 parallelism][query text]. The server
+/// accepts any parallelism value and ignores it (τ evaluation is serial;
+/// see api::QueryOptions::parallelism), so a kQueryOpts request answers
+/// exactly as a plain kQuery with the same text. A payload shorter than
+/// the u32 field is malformed.
 std::string EncodeQueryOpts(uint32_t parallelism, std::string_view query);
 bool DecodeQueryOpts(std::string_view payload, uint32_t* parallelism,
                      std::string* query);

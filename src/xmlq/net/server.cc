@@ -470,22 +470,18 @@ bool Server::Dispatch(Conn* conn, Frame frame) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.queries;
       }
-      uint32_t parallelism = config_.parallelism;
       std::string query = std::move(frame.payload);
       if (frame.type == FrameType::kQueryOpts) {
+        // The parallelism field is decoded for validation and otherwise
+        // ignored: evaluation is serial at any value.
         std::string text;
-        uint32_t requested = 0;
-        if (!DecodeQueryOpts(query, &requested, &text)) {
+        uint32_t parallelism = 0;
+        if (!DecodeQueryOpts(query, &parallelism, &text)) {
           ResponsePayload response;
           response.code = StatusCode::kInvalidArgument;
           response.body = "malformed query-opts payload";
           return QueueResponse(conn, frame.request_id, response);
         }
-        // Wire-supplied: clamp to the machine so a hostile client cannot
-        // force per-query lane allocations sized by an arbitrary u32
-        // (0 keeps its "all hardware threads" meaning and needs no clamp).
-        parallelism =
-            std::min(requested, std::max(1u, std::thread::hardware_concurrency()));
         query = std::move(text);
       }
       if (draining_) {
@@ -528,7 +524,6 @@ bool Server::Dispatch(Conn* conn, Frame frame) {
       job.conn_id = conn->id();
       job.request_id = frame.request_id;
       job.query = std::move(query);
-      job.parallelism = parallelism;
       job.inflight = it->second;
       {
         std::lock_guard<std::mutex> lock(jobs_mu_);
@@ -948,7 +943,6 @@ void Server::WorkerLoop() {
       api::QueryOptions options;
       options.limits.cancel_token = job.inflight->token;
       options.query_id_out = &job.inflight->query_id;
-      options.parallelism = job.parallelism;
       auto result = db_->Query(job.query, options);
       if (result.ok()) {
         response.body = api::Database::ToXml(*result);

@@ -40,10 +40,6 @@ struct ServerConfig {
   /// finish before they are cancelled (Database::Cancel via their tokens);
   /// responses still flush, then connections close.
   uint64_t drain_deadline_micros = 5'000'000;
-  /// Default intra-query parallelism for plain kQuery frames (see
-  /// api::QueryOptions::parallelism; 1 = serial, 0 = all hardware threads).
-  /// A kQueryOpts frame carries its own value per request.
-  uint32_t parallelism = 1;
   /// Replication shipping (DESIGN.md §13): snapshot bytes per kReplChunk
   /// frame. Bounded well below the write-buffer backpressure cap so a slow
   /// follower backpressures cleanly instead of tripping kSlowClient.
@@ -149,7 +145,6 @@ class Server {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
     std::string query;
-    uint32_t parallelism = 1;
     std::shared_ptr<InflightQuery> inflight;
     /// kPromote admin frame: run config_.on_promote instead of a query.
     bool promote = false;

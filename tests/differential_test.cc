@@ -4,14 +4,6 @@
 // query — on XMark-style auction documents and on seed-driven random trees.
 // A seventh configuration runs with stats collection on, so the oracle also
 // proves EXPLAIN ANALYZE instrumentation never perturbs results.
-//
-// Every query additionally runs morsel-parallel at parallelism {2, 4, 8}
-// and under an adversarial one-element-per-morsel split, each compared
-// against the same engine's serial run: results must stay byte-identical
-// AND the deterministic profile rendering (operator tree, OpStats totals,
-// cardinalities — everything but wall time) must match exactly. That is
-// the contract DESIGN.md §12 promises: parallel execution is unobservable
-// except in wall time.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +24,6 @@ struct EngineConfig {
   bool auto_optimize;
   exec::PatternStrategy strategy;
   bool collect_stats;
-  uint32_t parallelism = 1;
 };
 
 constexpr EngineConfig kEngines[] = {
@@ -43,7 +34,6 @@ constexpr EngineConfig kEngines[] = {
     {"binaryjoin", false, exec::PatternStrategy::kBinaryJoin, false},
     {"auto", true, exec::PatternStrategy::kNok, false},
     {"auto+stats", true, exec::PatternStrategy::kNok, true},
-    {"auto-p4+stats", true, exec::PatternStrategy::kNok, true, 4},
 };
 
 api::QueryOptions OptionsFor(const EngineConfig& engine) {
@@ -51,77 +41,11 @@ api::QueryOptions OptionsFor(const EngineConfig& engine) {
   options.auto_optimize = engine.auto_optimize;
   options.strategy = engine.strategy;
   options.collect_stats = engine.collect_stats;
-  options.parallelism = engine.parallelism;
   return options;
-}
-
-/// The engines with a morsel-parallel driver (everything but naive).
-constexpr exec::PatternStrategy kParallelStrategies[] = {
-    exec::PatternStrategy::kNok,
-    exec::PatternStrategy::kTwigStack,
-    exec::PatternStrategy::kPathStack,
-    exec::PatternStrategy::kBinaryJoin,
-};
-
-struct ParallelConfig {
-  const char* name;
-  uint32_t parallelism;
-  size_t morsel_elements;  // 0 = auto split target
-};
-
-constexpr ParallelConfig kParallelConfigs[] = {
-    {"p2", 2, 0},
-    {"p4", 4, 0},
-    {"p8", 8, 0},
-    // Adversarial split: one region-stream element per morsel, maximizing
-    // cross-morsel boundaries (every ancestor chain is a preseed).
-    {"p4/morsel=1", 4, 1},
-};
-
-/// Runs `query` on every stream engine serially with stats, then at each
-/// parallel configuration, asserting results match `reference` byte-for-byte
-/// and the deterministic profile rendering (OpStats totals, cardinalities)
-/// matches the engine's own serial run exactly.
-void ExpectParallelAgrees(api::Database& db, const std::string& query,
-                          bool as_path, const std::string& reference) {
-  for (const exec::PatternStrategy strategy : kParallelStrategies) {
-    api::QueryOptions serial;
-    serial.auto_optimize = false;
-    serial.strategy = strategy;
-    serial.collect_stats = true;
-    auto serial_result = as_path ? db.QueryPath(query, {}, serial)
-                                 : db.Query(query, serial);
-    ASSERT_TRUE(serial_result.ok())
-        << query << " [serial " << static_cast<int>(strategy)
-        << "]: " << serial_result.status().ToString();
-    ASSERT_NE(serial_result->profile, nullptr) << query;
-    const std::string serial_profile =
-        serial_result->profile->ToString(/*include_time=*/false);
-    for (const ParallelConfig& config : kParallelConfigs) {
-      api::QueryOptions options = serial;
-      options.parallelism = config.parallelism;
-      options.morsel_elements = config.morsel_elements;
-      auto result = as_path ? db.QueryPath(query, {}, options)
-                            : db.Query(query, options);
-      ASSERT_TRUE(result.ok())
-          << query << " [" << config.name << " strategy "
-          << static_cast<int>(strategy)
-          << "]: " << result.status().ToString();
-      EXPECT_EQ(api::Database::ToXml(*result), reference)
-          << query << " [" << config.name << " strategy "
-          << static_cast<int>(strategy) << "]";
-      ASSERT_NE(result->profile, nullptr) << query;
-      EXPECT_EQ(result->profile->ToString(/*include_time=*/false),
-                serial_profile)
-          << query << " [" << config.name << " strategy "
-          << static_cast<int>(strategy) << "]";
-    }
-  }
 }
 
 /// Runs `query` under every engine configuration and asserts the serialized
 /// (ordered) results are identical. `as_path` selects the XPath entry point.
-/// Then sweeps the morsel-parallel configurations against serial runs.
 void ExpectEnginesAgree(api::Database& db, const std::string& query,
                         bool as_path) {
   std::string reference;
@@ -145,7 +69,6 @@ void ExpectEnginesAgree(api::Database& db, const std::string& query,
           << query << ": " << engine.name << " vs " << reference_engine;
     }
   }
-  ExpectParallelAgrees(db, query, as_path, reference);
 }
 
 class AuctionDifferentialTest : public ::testing::Test {
@@ -262,29 +185,20 @@ TEST(FaultFallbackDifferentialTest, FaultedEnginesMatchNaiveViaFallback) {
       auto expected = db.QueryPath(path, {}, naive_options);
       ASSERT_TRUE(expected.ok()) << path;
 
-      // Both the serial and the morsel-parallel driver check the same fault
-      // site exactly once, so fallback behavior is identical at any
-      // parallelism.
-      for (const uint32_t parallelism : {1u, 4u}) {
-        FaultInjector::Instance().Arm(engine.site);
-        api::QueryOptions options;
-        options.auto_optimize = false;
-        options.strategy = engine.strategy;
-        options.parallelism = parallelism;
-        auto got = db.QueryPath(path, {}, options);
-        FaultInjector::Instance().Reset();
+      FaultInjector::Instance().Arm(engine.site);
+      api::QueryOptions options;
+      options.auto_optimize = false;
+      options.strategy = engine.strategy;
+      auto got = db.QueryPath(path, {}, options);
+      FaultInjector::Instance().Reset();
 
-        ASSERT_TRUE(got.ok())
-            << path << " [" << engine.site << " p" << parallelism
-            << "]: " << got.status().ToString();
-        EXPECT_TRUE(got->degraded)
-            << path << " [" << engine.site << " p" << parallelism << "]";
-        EXPECT_NE(got->degradation.find("naive"), std::string::npos)
-            << got->degradation;
-        EXPECT_EQ(api::Database::ToXml(*got),
-                  api::Database::ToXml(*expected))
-            << path << " [" << engine.site << " p" << parallelism << "]";
-      }
+      ASSERT_TRUE(got.ok()) << path << " [" << engine.site
+                            << "]: " << got.status().ToString();
+      EXPECT_TRUE(got->degraded) << path << " [" << engine.site << "]";
+      EXPECT_NE(got->degradation.find("naive"), std::string::npos)
+          << got->degradation;
+      EXPECT_EQ(api::Database::ToXml(*got), api::Database::ToXml(*expected))
+          << path << " [" << engine.site << "]";
     }
   }
 }

@@ -1,215 +1,23 @@
-// Property tests for the morsel layer (DESIGN.md §12): SplitStreams must
-// partition per-vertex region streams into document-order morsels that are
-// disjoint, covering, nonempty, and subtree-closed — on seeded random trees
-// and on the degenerate shapes that stress the splitter (a 100k-deep chain
-// with no legal cut, a 100k-wide single-tag fan-out where every gap is one).
-// Also covers MorselPool's exactly-once task execution, LaneGuards budget
-// slicing, and the Crc32Combine fold the parallel read path uses to verify
-// snapshots chunk-wise.
+// Tests for the parallel verification helpers (DESIGN.md §12) that Attach
+// and Scrub use: MorselPool's exactly-once task execution and batch
+// isolation between concurrent callers, SplitEvenly's chunk boundaries, and
+// the Crc32Combine fold that verifies snapshots chunk-wise.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "xmlq/base/crc32.h"
-#include "xmlq/base/limits.h"
 #include "xmlq/exec/morsel.h"
-#include "xmlq/storage/region_index.h"
 
 namespace xmlq::exec {
 namespace {
-
-using storage::Region;
-
-/// Generates a random rooted tree of `num_nodes` elements over `tags` tag
-/// ids and returns one document-ordered region stream per tag. Positions
-/// follow the open/close numbering the real region index uses: a parent's
-/// region strictly contains its descendants' regions.
-std::vector<std::vector<Region>> RandomStreams(uint64_t seed,
-                                               size_t num_nodes,
-                                               uint32_t tags,
-                                               double deep_bias = 0.5) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  std::uniform_int_distribution<uint32_t> pick_tag(0, tags - 1);
-
-  std::vector<std::vector<Region>> streams(tags);
-  uint32_t pos = 0;
-  // Iterative DFS construction: `open` holds the ancestors whose end
-  // position is still pending (index into a flat region list).
-  struct Open {
-    size_t stream;
-    size_t index;
-  };
-  std::vector<Open> open;
-  for (size_t n = 0; n < num_nodes; ++n) {
-    // Occasionally pop ancestors so the tree branches instead of becoming
-    // one chain; deep_bias ~1.0 keeps it chain-like, ~0.0 bushy.
-    while (!open.empty() && coin(rng) > deep_bias) {
-      streams[open.back().stream][open.back().index].end = pos++;
-      open.pop_back();
-    }
-    const uint32_t tag = pick_tag(rng);
-    Region region;
-    region.start = pos++;
-    region.level = static_cast<uint32_t>(open.size());
-    region.name = static_cast<xml::NameId>(tag);
-    streams[tag].push_back(region);
-    open.push_back({tag, streams[tag].size() - 1});
-  }
-  while (!open.empty()) {
-    streams[open.back().stream][open.back().index].end = pos++;
-    open.pop_back();
-  }
-  // DFS start order is document order, but each stream was filled by open
-  // position — already sorted by start. Assert instead of trusting.
-  for (const auto& stream : streams) {
-    EXPECT_TRUE(std::is_sorted(
-        stream.begin(), stream.end(),
-        [](const Region& a, const Region& b) { return a.start < b.start; }));
-  }
-  return streams;
-}
-
-/// Asserts every structural invariant SplitStreams promises:
-/// disjoint + covering (boundary rows), nonempty morsels, and the
-/// subtree-closed cut property: no participating region spans a cut.
-void CheckPlanInvariants(const MorselPlan& plan,
-                         const std::vector<std::vector<Region>>& streams,
-                         size_t skip_vertex) {
-  size_t participating_total = 0;
-  for (size_t v = 0; v < streams.size(); ++v) {
-    if (v != skip_vertex) participating_total += streams[v].size();
-  }
-  if (participating_total == 0) {
-    EXPECT_EQ(plan.count(), 0u);
-    return;
-  }
-  ASSERT_GE(plan.count(), 1u);
-  ASSERT_EQ(plan.bounds.size(), plan.count() + 1);
-
-  for (size_t v = 0; v < streams.size(); ++v) {
-    ASSERT_EQ(plan.bounds.front()[v], 0u) << "vertex " << v;
-    const size_t expect_last = v == skip_vertex ? 0 : streams[v].size();
-    ASSERT_EQ(plan.bounds.back()[v], expect_last) << "vertex " << v;
-    for (size_t m = 0; m < plan.count(); ++m) {
-      ASSERT_LE(plan.bounds[m][v], plan.bounds[m + 1][v])
-          << "vertex " << v << " morsel " << m;
-    }
-  }
-
-  for (size_t m = 0; m < plan.count(); ++m) {
-    size_t in_morsel = 0;
-    for (size_t v = 0; v < streams.size(); ++v) {
-      in_morsel += plan.bounds[m + 1][v] - plan.bounds[m][v];
-    }
-    EXPECT_GT(in_morsel, 0u) << "empty morsel " << m;
-  }
-
-  // Subtree-closed: at every interior boundary, every region on the left
-  // ends strictly before every region on the right starts — so a region and
-  // all its descendants land in the same morsel.
-  for (size_t m = 1; m < plan.count(); ++m) {
-    uint32_t max_end_before = 0;
-    uint32_t min_start_after = std::numeric_limits<uint32_t>::max();
-    for (size_t v = 0; v < streams.size(); ++v) {
-      if (v == skip_vertex) continue;
-      const size_t cut = plan.bounds[m][v];
-      for (size_t i = 0; i < cut; ++i) {
-        max_end_before = std::max(max_end_before, streams[v][i].end);
-      }
-      if (cut < streams[v].size()) {
-        min_start_after = std::min(min_start_after, streams[v][cut].start);
-      }
-    }
-    EXPECT_LT(max_end_before, min_start_after) << "cut " << m;
-  }
-}
-
-struct SplitCase {
-  uint64_t seed;
-  size_t nodes;
-  uint32_t tags;
-  double deep_bias;
-};
-
-class SplitStreamsPropertyTest : public ::testing::TestWithParam<SplitCase> {};
-
-TEST_P(SplitStreamsPropertyTest, InvariantsHoldOnRandomTrees) {
-  const SplitCase c = GetParam();
-  const auto streams = RandomStreams(c.seed, c.nodes, c.tags, c.deep_bias);
-  for (const size_t skip : {size_t{0}, streams.size()}) {
-    for (const uint32_t lanes : {2u, 4u, 8u}) {
-      // target 0 = auto, 1 = adversarial one-group morsels, 7 = odd size.
-      for (const size_t target : {size_t{0}, size_t{1}, size_t{7}}) {
-        const MorselPlan plan = SplitStreams(streams, skip, target, lanes);
-        CheckPlanInvariants(plan, streams, skip);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SplitStreamsPropertyTest,
-    ::testing::Values(SplitCase{1, 200, 1, 0.5}, SplitCase{2, 500, 3, 0.5},
-                      SplitCase{3, 2000, 4, 0.3}, SplitCase{4, 2000, 4, 0.9},
-                      SplitCase{5, 5000, 2, 0.6}, SplitCase{6, 50, 5, 0.2},
-                      SplitCase{7, 1000, 3, 0.99}, SplitCase{8, 3000, 6, 0.4}));
-
-TEST(SplitStreamsTest, DeepChainHasNoLegalCut) {
-  // 100k nested regions: every boundary is spanned by an ancestor, so even
-  // the adversarial target must return exactly one morsel.
-  constexpr size_t kDepth = 100'000;
-  std::vector<std::vector<Region>> streams(1);
-  streams[0].reserve(kDepth);
-  for (size_t i = 0; i < kDepth; ++i) {
-    Region region;
-    region.start = static_cast<uint32_t>(i);
-    region.end = static_cast<uint32_t>(2 * kDepth - 1 - i);
-    region.level = static_cast<uint32_t>(i);
-    streams[0].push_back(region);
-  }
-  const MorselPlan plan = SplitStreams(streams, streams.size(), 1, 8);
-  EXPECT_EQ(plan.count(), 1u);
-  CheckPlanInvariants(plan, streams, streams.size());
-}
-
-TEST(SplitStreamsTest, SingleTagFanOutSplitsFully) {
-  // 100k disjoint siblings: every boundary is legal. The adversarial
-  // target=1 must produce one region per morsel; auto must scale with
-  // lanes and keep the invariants.
-  constexpr size_t kWidth = 100'000;
-  std::vector<std::vector<Region>> streams(1);
-  streams[0].reserve(kWidth);
-  for (size_t i = 0; i < kWidth; ++i) {
-    Region region;
-    region.start = static_cast<uint32_t>(2 * i + 1);
-    region.end = static_cast<uint32_t>(2 * i + 2);
-    region.level = 1;
-    streams[0].push_back(region);
-  }
-  const MorselPlan adversarial = SplitStreams(streams, streams.size(), 1, 8);
-  EXPECT_EQ(adversarial.count(), kWidth);
-  CheckPlanInvariants(adversarial, streams, streams.size());
-
-  const MorselPlan automatic = SplitStreams(streams, streams.size(), 0, 4);
-  EXPECT_GT(automatic.count(), 1u);
-  EXPECT_LE(automatic.count(), 4u * 4u);
-  CheckPlanInvariants(automatic, streams, streams.size());
-}
-
-TEST(SplitStreamsTest, EmptyStreamsYieldNoMorsels) {
-  std::vector<std::vector<Region>> streams(3);
-  const MorselPlan plan = SplitStreams(streams, 1, 0, 4);
-  EXPECT_EQ(plan.count(), 0u);
-}
 
 TEST(SplitEvenlyTest, Properties) {
   EXPECT_EQ(SplitEvenly(0, 1, 4), (std::vector<size_t>{0, 0}));
@@ -266,7 +74,7 @@ TEST(MorselPoolTest, SingleLaneRunsOnCaller) {
 }
 
 TEST(MorselPoolTest, ConcurrentExternalCallersAreIsolated) {
-  // Queries and the scrubber share MorselPool::Shared(); batches from
+  // Attach and the scrubber share MorselPool::Shared(); batches from
   // concurrent callers must not leak tasks into each other.
   constexpr size_t kCallers = 4;
   constexpr size_t kTasks = 500;
@@ -288,63 +96,6 @@ TEST(MorselPoolTest, ConcurrentExternalCallersAreIsolated) {
       ASSERT_EQ(counts[c][t].load(), 1) << "caller " << c << " task " << t;
     }
   }
-}
-
-TEST(LaneGuardsTest, SlicesStepBudgetAndAbsorbsIntoParent) {
-  QueryLimits limits;
-  limits.max_steps = 100;
-  ResourceGuard parent(limits);
-  {
-    LaneGuards lanes(&parent, 4, /*tasks=*/16);
-    // Each lane gets ~1/4 of the remaining budget; staying under that slice
-    // must not trip the lane.
-    for (uint32_t i = 0; i < 4; ++i) {
-      ASSERT_NE(lanes.lane(i), nullptr);
-      EXPECT_FALSE(lanes.lane(i)->Tick(20)) << "lane " << i;
-    }
-  }
-  // 4 × 20 absorbed; 21 more exceeds the parent's 100-step budget.
-  EXPECT_FALSE(parent.Tick(0));
-  EXPECT_TRUE(parent.Tick(21));
-  EXPECT_EQ(parent.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(LaneGuardsTest, LaneTripsOnOversizedSlice) {
-  QueryLimits limits;
-  limits.max_steps = 80;
-  ResourceGuard parent(limits);
-  LaneGuards lanes(&parent, 4, /*tasks=*/16);
-  // One lane burning far past its ~20-step slice must trip locally without
-  // waiting for the fold.
-  EXPECT_TRUE(lanes.lane(0)->Tick(81));
-  EXPECT_EQ(lanes.lane(0)->status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(LaneGuardsTest, NullParentYieldsNullLanes) {
-  LaneGuards lanes(nullptr, 4, /*tasks=*/16);
-  EXPECT_EQ(lanes.lane(0), nullptr);
-  EXPECT_EQ(lanes.lane(3), nullptr);
-}
-
-TEST(LaneGuardsTest, AllocationCappedByTaskCount) {
-  QueryLimits limits;
-  limits.max_steps = 100;
-  ResourceGuard parent(limits);
-  // A huge requested lane count must not translate into a huge allocation:
-  // MorselPool::Run only hands out lane ids < min(lanes, tasks), so only
-  // that many guards exist. Slices still divide by the requested count.
-  LaneGuards lanes(&parent, 0xFFFFFFFFu, /*tasks=*/3);
-  EXPECT_EQ(lanes.lane_count(), 3u);
-  EXPECT_NE(lanes.lane(2), nullptr);
-}
-
-TEST(LaneGuardsTest, ZeroTasksStillYieldsOneLane) {
-  QueryLimits limits;
-  limits.max_steps = 100;
-  ResourceGuard parent(limits);
-  LaneGuards lanes(&parent, 4, /*tasks=*/0);
-  EXPECT_EQ(lanes.lane_count(), 1u);
-  EXPECT_NE(lanes.lane(0), nullptr);
 }
 
 TEST(Crc32CombineTest, MatchesWholeBufferCrc) {

@@ -320,24 +320,54 @@ TEST(NetServerTest, QueryPingStatsOverTheWire) {
   EXPECT_EQ(server_stats.protocol_errors, 0u);
 }
 
-TEST(NetServerTest, HostileWireParallelismIsClampedNotHonored) {
+TEST(NetServerTest, QueryOptsParallelismIsIgnored) {
   ServerFixture fx;
   auto client = fx.Connect();
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   const std::string query = "doc(\"bib.xml\")//book[author]/title";
-  auto serial = client->Query(query);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_EQ(serial->code, StatusCode::kOk);
+  auto plain = client->Query(query);  // parallelism 1: a plain kQuery frame
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ(plain->code, StatusCode::kOk);
 
-  // A kQueryOpts frame demanding 2^32-1 lanes must not be taken at face
-  // value (served queries always run with an armed guard, so the lane-fork
-  // allocation would otherwise scale with the wire-supplied u32). The server
-  // clamps to the machine and the query still answers, byte-identically.
-  auto hostile = client->Query(query, 0xFFFFFFFFu);
-  ASSERT_TRUE(hostile.ok()) << hostile.status().ToString();
-  EXPECT_EQ(hostile->code, StatusCode::kOk);
-  EXPECT_EQ(hostile->body, serial->body);
+  // Any kQueryOpts parallelism value, hostile ones included, is accepted
+  // and has no effect: the answer is byte-identical to the plain kQuery.
+  for (const uint32_t parallelism : {0u, 2u, 0xFFFFFFFFu}) {
+    auto opts = client->Query(query, parallelism);
+    ASSERT_TRUE(opts.ok()) << opts.status().ToString();
+    EXPECT_EQ(opts->code, StatusCode::kOk) << "parallelism " << parallelism;
+    EXPECT_EQ(opts->body, plain->body) << "parallelism " << parallelism;
+  }
+}
+
+TEST(NetServerTest, MalformedQueryOptsPayloadIsRejected) {
+  ServerFixture fx(ServerConfig{}, /*books=*/10);
+  auto fd = ConnectTcp("127.0.0.1", fx.server->port(), 1'000'000,
+                       5'000'000);
+  ASSERT_TRUE(fd.ok());
+  // Two bytes cannot hold the u32 parallelism field.
+  const std::string frame = EncodeFrame(FrameType::kQueryOpts, 7, "ab");
+  ASSERT_EQ(send(fd->get(), frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::string buffer;
+  Frame reply;
+  size_t consumed = 0;
+  std::string error;
+  DecodeStatus status = DecodeStatus::kNeedMore;
+  while (status == DecodeStatus::kNeedMore) {
+    char buf[256];
+    const ssize_t n = recv(fd->get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection closed before the response";
+    buffer.append(buf, static_cast<size_t>(n));
+    status = DecodeFrame(buffer, &reply, &consumed, &error);
+  }
+  ASSERT_EQ(status, DecodeStatus::kFrame) << error;
+  EXPECT_EQ(reply.type, FrameType::kResponse);
+  EXPECT_EQ(reply.request_id, 7u);
+  ResponsePayload response;
+  ASSERT_TRUE(net::DecodeResponse(reply.payload, &response));
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(response.body, "malformed query-opts payload");
 }
 
 TEST(NetServerTest, SharedConnectionPipelinesResponsesByRequestId) {

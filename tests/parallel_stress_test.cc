@@ -1,14 +1,13 @@
-// Morsel-parallel serving stress (the TSan target for DESIGN.md §12):
-// worker threads run mixed queries at varying intra-query parallelism —
-// including the adversarial one-element-morsel split — while a writer
-// swaps the document between two versions and a canceller kills random
-// in-flight queries mid-morsel. Every query must end in exactly one of
-// {ordered-correct result for SOME pinned document version, kCancelled,
-// kResourceExhausted} — the same trichotomy the serial stress suite
-// asserts, now with lanes racing inside each query. A second suite proves
-// resource limits (deadline, step budget) still trip when the budget is
-// sliced across lanes, and that queries and the scrubber can share the
-// process-wide MorselPool concurrently.
+// Serving stress around the parallelism knobs (a TSan target; DESIGN.md
+// §12): worker threads run mixed queries with assorted
+// QueryOptions::parallelism values — accepted and without effect on
+// evaluation — while a writer swaps the document between two versions and
+// a canceller kills random in-flight queries. Every query must end in
+// exactly one of {ordered-correct result for SOME pinned document version,
+// kCancelled, kResourceExhausted}. A second group proves resource limits
+// (deadline, step budget) behave identically at any parallelism value, and
+// that queries run cleanly while the scrubber fans out over the
+// process-wide MorselPool.
 
 #include <gtest/gtest.h>
 
@@ -48,23 +47,21 @@ TEST(ParallelStressTest, ConcurrentParallelQueriesSwapsAndCancels) {
       "//open_auction[bidder]/current",
   };
   // Per-query knobs the workers cycle through: every stream engine plus
-  // auto, at parallelism 2/4/8/0(=hardware), with the adversarial
-  // one-element morsel split in the mix.
+  // auto, at parallelism 2/4/8/0(=hardware).
   struct Knobs {
     bool auto_optimize;
     exec::PatternStrategy strategy;
     uint32_t parallelism;
-    size_t morsel_elements;
   };
   const Knobs kKnobs[] = {
-      {true, exec::PatternStrategy::kNok, 4, 0},
-      {false, exec::PatternStrategy::kNok, 2, 0},
-      {false, exec::PatternStrategy::kTwigStack, 8, 0},
-      {false, exec::PatternStrategy::kTwigStack, 4, 1},
-      {false, exec::PatternStrategy::kPathStack, 4, 0},
-      {false, exec::PatternStrategy::kBinaryJoin, 4, 0},
-      {false, exec::PatternStrategy::kBinaryJoin, 8, 1},
-      {true, exec::PatternStrategy::kNok, 0, 0},
+      {true, exec::PatternStrategy::kNok, 4},
+      {false, exec::PatternStrategy::kNok, 2},
+      {false, exec::PatternStrategy::kTwigStack, 8},
+      {false, exec::PatternStrategy::kTwigStack, 4},
+      {false, exec::PatternStrategy::kPathStack, 4},
+      {false, exec::PatternStrategy::kBinaryJoin, 4},
+      {false, exec::PatternStrategy::kBinaryJoin, 8},
+      {true, exec::PatternStrategy::kNok, 0},
   };
 
   // Precompute the expected answers for both document versions so a worker
@@ -112,7 +109,6 @@ TEST(ParallelStressTest, ConcurrentParallelQueriesSwapsAndCancels) {
         options.auto_optimize = knobs.auto_optimize;
         options.strategy = knobs.strategy;
         options.parallelism = knobs.parallelism;
-        options.morsel_elements = knobs.morsel_elements;
         std::atomic<uint64_t> id{0};
         options.query_id_out = &id;
         auto result = db.QueryPath(kPaths[which], {}, options);
@@ -139,8 +135,8 @@ TEST(ParallelStressTest, ConcurrentParallelQueriesSwapsAndCancels) {
     });
   }
 
-  // Writer: swap between the two versions while parallel queries pin
-  // whichever catalog snapshot they started on.
+  // Writer: swap between the two versions while queries pin whichever
+  // catalog snapshot they started on.
   std::thread swapper([&] {
     uint64_t flip = 0;
     while (!stop.load(std::memory_order_acquire)) {
@@ -149,8 +145,7 @@ TEST(ParallelStressTest, ConcurrentParallelQueriesSwapsAndCancels) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  // Canceller: fire at the last published id — with lanes in flight the
-  // cancel must propagate through every lane guard.
+  // Canceller: fire at the last published id.
   std::thread canceller([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const uint64_t id = latest_query_id.load(std::memory_order_relaxed);
@@ -180,51 +175,47 @@ TEST(ParallelStressTest, ConcurrentParallelQueriesSwapsAndCancels) {
   EXPECT_EQ(stats.queued, 0u);
 }
 
-TEST(ParallelStressTest, CancelLandsMidMorsel) {
-  api::Database db;
-  ASSERT_TRUE(db.RegisterDocument("a.xml", Auction(0.15, 7)).ok());
-  // Several rounds so the cancel lands at different points of the morsel
-  // schedule; each round must end cleanly either way.
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<uint64_t> query_id{0};
-    std::atomic<bool> done{false};
-    Status status = Status::Ok();
-    std::thread runner([&] {
-      api::QueryOptions options;
-      options.query_id_out = &query_id;
-      options.parallelism = 8;
-      options.morsel_elements = 1;  // maximize morsel count -> cancel windows
-      auto result = db.Query(
-          "for $p in doc(\"a.xml\")//person, $q in doc(\"a.xml\")//person "
-          "where $p/name = $q/name return $p/name",
-          options);
-      if (!result.ok()) status = result.status();
-      done.store(true);
-    });
-    while (query_id.load(std::memory_order_acquire) == 0) {
-      std::this_thread::yield();
-    }
-    const bool hit = db.Cancel(query_id.load());
-    runner.join();
-    ASSERT_TRUE(done.load());
-    if (hit && !status.ok()) {
-      EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
-    }
-  }
-}
-
-TEST(ParallelStressTest, StepBudgetTripsWithSlicedLanes) {
+TEST(ParallelStressTest, StepBudgetIsIdenticalAtAnyParallelism) {
   api::Database db;
   ASSERT_TRUE(db.RegisterDocument("a.xml", Auction(0.05, 7)).ok());
-  api::QueryOptions options;
-  options.limits.max_steps = 50;  // far below what the query needs
-  for (const uint32_t parallelism : {1u, 4u, 8u}) {
+  const char* kPath = "//person[address]/name";
+  auto unlimited = db.QueryPath(kPath);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  const std::string expected = api::Database::ToXml(*unlimited);
+
+  // The smallest step budget the serial run meets (step counting is
+  // deterministic, so a binary search pins it exactly).
+  auto run = [&](uint64_t max_steps, uint32_t parallelism) {
+    api::QueryOptions options;
+    options.limits.max_steps = max_steps;
     options.parallelism = parallelism;
-    auto result = db.QueryPath("//person[address]/name", {}, options);
-    ASSERT_FALSE(result.ok()) << "parallelism " << parallelism;
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+    return db.QueryPath(kPath, {}, options);
+  };
+  uint64_t lo = 1;
+  uint64_t hi = 1;
+  while (!run(hi, 1).ok()) hi *= 2;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (run(mid, 1).ok()) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const uint64_t budget = lo;
+  ASSERT_GT(budget, 1u);
+
+  for (const uint32_t parallelism : {1u, 4u, 8u}) {
+    auto met = run(budget, parallelism);
+    ASSERT_TRUE(met.ok()) << "parallelism " << parallelism << ": "
+                          << met.status().ToString();
+    EXPECT_EQ(api::Database::ToXml(*met), expected)
+        << "parallelism " << parallelism;
+    auto short_by_one = run(budget - 1, parallelism);
+    ASSERT_FALSE(short_by_one.ok()) << "parallelism " << parallelism;
+    EXPECT_EQ(short_by_one.status().code(), StatusCode::kResourceExhausted)
         << "parallelism " << parallelism << ": "
-        << result.status().ToString();
+        << short_by_one.status().ToString();
   }
 }
 
@@ -243,9 +234,9 @@ TEST(ParallelStressTest, ExpiredDeadlineTripsAtAnyParallelism) {
   }
 }
 
-// Queries and the scrubber share MorselPool::Shared(); run both parallel at
-// once against a live store to prove batches stay isolated and quarantine
-// decisions stay clean-store-correct under contention.
+// The scrubber fans out over MorselPool::Shared() while readers query the
+// same live store: scrub batches must stay isolated from the serving path
+// and quarantine decisions must stay clean-store-correct under contention.
 TEST(ParallelStressTest, ParallelQueriesAndParallelScrubShareThePool) {
   const std::string dir = "parallel_stress_store";
   std::filesystem::remove_all(dir);

@@ -43,13 +43,11 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port N] [--clients N]\n"
                "          [--duration-s N] [--query Q] [--max-attempts N]\n"
-               "          [--repeat-mix N] [--parallelism N]\n"
+               "          [--repeat-mix N]\n"
                "          [--once Q] [--stats] [--promote]\n"
                "  --repeat-mix N  instead of one fixed query, draw each\n"
                "                  request Zipf-style from N value-predicate\n"
                "                  variants (exercises the server plan cache)\n"
-               "  --parallelism N intra-query worker lanes per request\n"
-               "                  (1 = serial, 0 = all server hw threads)\n"
                "  --once Q        send Q once, print the raw response body\n"
                "                  to stdout and exit by status (scripts\n"
                "                  byte-compare primary vs follower answers)\n"
@@ -131,7 +129,6 @@ int main(int argc, char** argv) {
   uint32_t duration_s = 10;
   uint32_t max_attempts = 6;
   uint32_t repeat_mix = 0;
-  uint32_t parallelism = 1;
   std::string query = "//book/title";
   std::string once;
   bool stats_mode = false;
@@ -154,8 +151,6 @@ int main(int argc, char** argv) {
       max_attempts = static_cast<uint32_t>(std::atoi(v));
     else if (arg == "--repeat-mix" && (v = next()))
       repeat_mix = static_cast<uint32_t>(std::atoi(v));
-    else if (arg == "--parallelism" && (v = next()))
-      parallelism = static_cast<uint32_t>(std::atoi(v));
     else if (arg == "--query" && (v = next())) query = v;
     else if (arg == "--once" && (v = next())) once = v;
     else if (arg == "--stats") stats_mode = true;
@@ -200,7 +195,7 @@ int main(int argc, char** argv) {
         }
         const auto begin = std::chrono::steady_clock::now();
         const xmlq::net::CallResult call =
-            client->QueryWithRetry(mix[pick(rng)], policy, &rng, parallelism);
+            client->QueryWithRetry(mix[pick(rng)], policy, &rng);
         const double micros =
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - begin)

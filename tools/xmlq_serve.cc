@@ -61,8 +61,6 @@ int Usage(const char* argv0) {
       "  --idle-timeout-ms N     close idle connections (default 60000)\n"
       "  --max-inflight N        per-connection in-flight cap (default 16)\n"
       "  --drain-deadline-ms N   graceful-drain budget (default 5000)\n"
-      "  --parallelism N         intra-query worker lanes for plain query\n"
-      "                          frames (1 = serial, 0 = all hw threads)\n"
       "  --persist               persist loaded/generated docs into --store\n"
       "                          (gives a primary shippable generations)\n"
       "  --follow HOST:PORT      run as a read-only follower replicating\n"
@@ -126,8 +124,6 @@ int main(int argc, char** argv) {
       config.limits.max_inflight = static_cast<uint32_t>(std::atoi(v));
     else if (arg == "--drain-deadline-ms" && (v = next()))
       config.drain_deadline_micros = std::strtoull(v, nullptr, 10) * 1000;
-    else if (arg == "--parallelism" && (v = next()))
-      config.parallelism = static_cast<uint32_t>(std::atoi(v));
     else if (arg == "--persist") persist = true;
     else if (arg == "--follow" && (v = next())) follow = v;
     else if (arg == "--max-lag" && (v = next()))
