@@ -152,6 +152,10 @@ struct BadInput {
   const char* text;
 };
 
+// Without this, gtest prints the parameter as its raw bytes (two string
+// pointers), and the discovered test names change with every build.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {
