@@ -32,7 +32,6 @@ void RunGoverned(benchmark::State& state, const char* path,
   exec::EvalContext context;
   context.documents[""] = AuctionDoc(kScale).view;
   context.documents["auction.xml"] = AuctionDoc(kScale).view;
-  context.strategy = strategy;
   const QueryLimits limits = HugeLimits();
   ResourceGuard guard(limits);
   if (armed) context.guard = &guard;
@@ -41,6 +40,7 @@ void RunGoverned(benchmark::State& state, const char* path,
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  algebra::SetPatternStrategy(plan->get(), strategy);
   exec::Executor executor(&context);
   size_t results = 0;
   for (auto _ : state) {

@@ -25,12 +25,12 @@ void RunProfiled(benchmark::State& state, const char* path,
   exec::EvalContext context;
   context.documents[""] = AuctionDoc(kScale).view;
   context.documents["auction.xml"] = AuctionDoc(kScale).view;
-  context.strategy = strategy;
   auto plan = xpath::CompilePath(path, "auction.xml");
   if (!plan.ok()) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  algebra::SetPatternStrategy(plan->get(), strategy);
   exec::Executor executor(&context);
   size_t results = 0;
   for (auto _ : state) {

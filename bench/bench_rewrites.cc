@@ -17,11 +17,10 @@ namespace {
 
 constexpr int kScale = 50;
 
-exec::EvalContext MakeContext(exec::PatternStrategy strategy) {
+exec::EvalContext MakeContext() {
   exec::EvalContext context;
   context.documents[""] = AuctionDoc(kScale).view;
   context.documents["auction.xml"] = AuctionDoc(kScale).view;
-  context.strategy = strategy;
   return context;
 }
 
@@ -38,11 +37,13 @@ algebra::LogicalExprPtr RawPlan() {
 
 void RunPlan(benchmark::State& state, const algebra::LogicalExpr& plan,
              exec::PatternStrategy strategy) {
-  const exec::EvalContext context = MakeContext(strategy);
+  const exec::EvalContext context = MakeContext();
+  const algebra::LogicalExprPtr stamped = plan.Clone();
+  algebra::SetPatternStrategy(stamped.get(), strategy);
   exec::Executor executor(&context);
   size_t results = 0;
   for (auto _ : state) {
-    auto result = executor.Evaluate(plan);
+    auto result = executor.Evaluate(*stamped);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -74,7 +74,7 @@ void PrintHelp() {
       "  .jobs                   list background queries and their state\n"
       "  .cancel <id>            cooperatively cancel a running query\n"
       "  .stats admission        admission counters + circuit-breaker state\n"
-      "  .stats cache            plan-cache counters (hits/misses/replans)\n"
+      "  .stats cache            plan-cache counters (hits/misses/entries)\n"
       "  .follow <host> <port> <dir>\n"
       "                          become a read-only follower: replicate the\n"
       "                          primary at host:port into store dir and\n"

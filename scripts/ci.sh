@@ -24,8 +24,9 @@
 #                       shipped xmlq_serve + xmlq_loadgen binaries against a
 #                       real socket, ending in a SIGTERM graceful drain
 #   7. plan cache     — the `cache`-labeled suite (normalization oracle,
-#                       bind-slot round-trips, invalidation, adaptive
-#                       re-plans, concurrent hit/miss/invalidate stress)
+#                       bind-slot round-trips, invalidation, the per-τ-node
+#                       engine picks a cached plan keeps, concurrent
+#                       hit/miss/invalidate stress)
 #                       under AddressSanitizer and ThreadSanitizer: cloned
 #                       plans + shared cache entries are where lifetime and
 #                       race bugs would live
@@ -52,7 +53,7 @@
 # *.xqpack scratch files into the ctest working directory) — stays under
 # the build trees, so a failed run never litters the source tree.
 #
-#   scripts/ci.sh              # all three stages
+#   scripts/ci.sh              # all nine stages
 #   scripts/ci.sh --fast       # tier-1 + differential only
 set -euo pipefail
 

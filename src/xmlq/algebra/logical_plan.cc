@@ -72,6 +72,29 @@ std::string_view BinaryOpName(BinaryOp op) {
   return "?";
 }
 
+std::string_view PatternStrategyName(PatternStrategy strategy) {
+  switch (strategy) {
+    case PatternStrategy::kNok:
+      return "nok";
+    case PatternStrategy::kTwigStack:
+      return "twigstack";
+    case PatternStrategy::kPathStack:
+      return "pathstack";
+    case PatternStrategy::kBinaryJoin:
+      return "binaryjoin";
+    case PatternStrategy::kNaive:
+      return "naive";
+  }
+  return "unknown";
+}
+
+void SetPatternStrategy(LogicalExpr* plan, PatternStrategy strategy) {
+  if (plan->op == LogicalOp::kTreePattern) plan->strategy = strategy;
+  for (const auto& child : plan->children) {
+    SetPatternStrategy(child.get(), strategy);
+  }
+}
+
 std::unique_ptr<LogicalExpr> LogicalExpr::Clone() const {
   auto copy = std::make_unique<LogicalExpr>(op);
   copy->str = str;
@@ -82,6 +105,7 @@ std::unique_ptr<LogicalExpr> LogicalExpr::Clone() const {
   copy->binary = binary;
   copy->clauses = clauses;
   copy->literal = literal;
+  copy->strategy = strategy;
   if (pattern != nullptr) {
     copy->pattern = std::make_unique<PatternGraph>(*pattern);
   }

@@ -45,6 +45,19 @@ enum class LogicalOp : uint8_t {
 
 std::string_view LogicalOpName(LogicalOp op);
 
+/// Physical strategy for the τ (tree pattern matching) operator — the choice
+/// the paper's evaluation compares (§4.2 / experiment E1). Each kTreePattern
+/// node carries its own.
+enum class PatternStrategy : uint8_t {
+  kNok,        // NoK partition + single-scan matching + seam joins (hybrid)
+  kTwigStack,  // holistic twig join over region streams [13]
+  kPathStack,  // chained-stack path join [13]; twigs fall back to TwigStack
+  kBinaryJoin, // one stack-tree structural join per edge [12]
+  kNaive,      // recursive DOM navigation [10]
+};
+
+std::string_view PatternStrategyName(PatternStrategy strategy);
+
 /// Binary operators for kBinary.
 enum class BinaryOp : uint8_t {
   kAdd, kSub, kMul, kDiv, kMod,
@@ -80,6 +93,7 @@ struct LogicalExpr {
   ValuePredicate predicate;       // kSelectValue
   BinaryOp binary = BinaryOp::kEq;          // kBinary
   std::unique_ptr<PatternGraph> pattern;    // kTreePattern
+  PatternStrategy strategy = PatternStrategy::kNok;  // kTreePattern engine
   std::unique_ptr<SchemaTree> schema;       // kConstruct
   std::vector<FlworClause> clauses;         // kFlwor
   Item literal;                             // kLiteral
@@ -92,6 +106,9 @@ struct LogicalExpr {
 };
 
 using LogicalExprPtr = std::unique_ptr<LogicalExpr>;
+
+/// Sets the engine of every τ node in `plan` to `strategy`.
+void SetPatternStrategy(LogicalExpr* plan, PatternStrategy strategy);
 
 // Convenience factories (used by the parsers/translators and tests).
 LogicalExprPtr MakeDocScan(std::string doc_name);

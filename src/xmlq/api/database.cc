@@ -60,7 +60,8 @@ Status Database::RegisterDocument(std::string name,
                         storage::ValueIndex::TryBuild(*entry->dom));
   entry->values = std::make_unique<storage::ValueIndex>(std::move(values));
   entry->tags = std::make_unique<storage::TagDictionary>(*entry->dom);
-  entry->synopsis = std::make_unique<opt::Synopsis>(*entry->dom);
+  entry->synopsis =
+      std::make_unique<opt::Synopsis>(*entry->dom, entry->values.get());
   entry->view = exec::IndexedDocument{entry->dom.get(), entry->succinct.get(),
                                       entry->regions.get(),
                                       entry->values.get()};
@@ -78,7 +79,8 @@ std::shared_ptr<Database::Entry> Database::EntryFromSnapshot(
   entry->backing = std::move(snapshot.backing);
   // The synopsis is a small derived statistic; rebuilding it from the
   // restored DOM keeps it out of the file format.
-  entry->synopsis = std::make_unique<opt::Synopsis>(*entry->dom);
+  entry->synopsis =
+      std::make_unique<opt::Synopsis>(*entry->dom, entry->values.get());
   entry->view = exec::IndexedDocument{entry->dom.get(), entry->succinct.get(),
                                       entry->regions.get(),
                                       entry->values.get()};
@@ -1074,7 +1076,6 @@ exec::EvalContext Database::MakeContext(const CatalogState& catalog,
       context.documents.emplace("", it->second->view);
     }
   }
-  context.strategy = options.strategy;
   context.flwor_mode = options.flwor_mode;
   return context;
 }
@@ -1104,20 +1105,6 @@ const LogicalExpr* FindDocScan(const LogicalExpr& plan) {
   return nullptr;
 }
 
-/// Stamps the strategy the executor will actually run (one per query) onto
-/// every τ profile node, replacing the annotator's per-pattern pick.
-void TagExecutedStrategy(const LogicalExpr& plan, std::string_view strategy,
-                         exec::PlanProfile* profile) {
-  if (plan.op == LogicalOp::kTreePattern) {
-    if (exec::ProfileNode* node = profile->NodeFor(&plan); node != nullptr) {
-      node->estimate.strategy = strategy;
-    }
-  }
-  for (const auto& child : plan.children) {
-    TagExecutedStrategy(*child, strategy, profile);
-  }
-}
-
 /// Unregisters a query from the active-token map on every exit path.
 class ActiveRegistration {
  public:
@@ -1143,68 +1130,42 @@ class ActiveRegistration {
 
 }  // namespace
 
-exec::PatternStrategy Database::PickStrategy(
-    const CatalogState& catalog, const LogicalExpr& plan,
-    std::string* explanation,
-    std::vector<std::pair<exec::PatternStrategy, double>>* ranking) const {
-  std::vector<const LogicalExpr*> patterns;
-  CollectPatterns(plan, &patterns);
-  exec::PatternStrategy best = exec::PatternStrategy::kNok;
-  double worst_cost = -1;
-  for (const LogicalExpr* node : patterns) {
+void Database::PlanStrategies(const CatalogState& catalog, LogicalExpr* plan,
+                              const QueryOptions& options,
+                              std::string* explanation) const {
+  if (plan->op == LogicalOp::kTreePattern && plan->pattern != nullptr) {
+    plan->strategy = options.strategy;
     // The pattern's document is its DocScan child when present.
     std::string doc_name;
-    if (!node->children.empty() &&
-        node->children[0]->op == LogicalOp::kDocScan) {
-      doc_name = node->children[0]->str;
+    if (!plan->children.empty() &&
+        plan->children[0]->op == LogicalOp::kDocScan) {
+      doc_name = plan->children[0]->str;
     }
     const Entry* entry = catalog.Find(doc_name);
-    if (entry == nullptr || node->pattern == nullptr) continue;
-    const opt::StrategyChoice choice = opt::ChooseStrategy(
-        *entry->synopsis, entry->dom->pool(), *node->pattern);
-    if (explanation != nullptr) {
-      explanation->append(choice.explanation);
-      explanation->push_back('\n');
-    }
-    // One strategy per query: follow the costliest pattern's choice.
-    if (choice.cost > worst_cost) {
-      worst_cost = choice.cost;
-      best = choice.strategy;
-      if (ranking != nullptr) {
-        *ranking = choice.alternatives;
-        std::sort(ranking->begin(), ranking->end(),
-                  [](const auto& a, const auto& b) {
-                    return a.second < b.second;
-                  });
+    if (entry != nullptr && (options.auto_optimize || explanation != nullptr)) {
+      const opt::StrategyChoice choice = opt::ChooseStrategy(
+          *entry->synopsis, entry->dom->pool(), *plan->pattern);
+      if (options.auto_optimize) plan->strategy = choice.strategy;
+      if (explanation != nullptr) {
+        explanation->append(choice.explanation);
+        explanation->push_back('\n');
       }
     }
   }
-  return best;
+  for (const auto& child : plan->children) {
+    PlanStrategies(catalog, child.get(), options, explanation);
+  }
 }
 
 namespace {
 
-/// Plan-level q-error of a profiled run: the worst estimate miss across all
-/// operators carrying an estimate (0 when none do).
-double MaxQError(const exec::ProfileNode& node) {
-  double q = node.QError();
-  for (const exec::ProfileNode& child : node.children) {
-    q = std::max(q, MaxQError(child));
+/// Copies each τ node's engine from `from` onto the same node of `to`, a
+/// plan of the same shape (`from` is a bound clone of `to`).
+void CopyStrategies(const LogicalExpr& from, LogicalExpr* to) {
+  to->strategy = from.strategy;
+  for (size_t i = 0; i < from.children.size(); ++i) {
+    CopyStrategies(*from.children[i], to->children[i].get());
   }
-  return q;
-}
-
-/// Deterministic work metric for strategy pinning: the counters every τ
-/// engine's cost model is written in (wall time would make the adaptive
-/// state machine timing-dependent and untestable).
-double TotalWork(const exec::ProfileNode& node) {
-  double work = static_cast<double>(node.stats.nodes_visited) +
-                static_cast<double>(node.stats.index_probes) +
-                static_cast<double>(node.stats.stack_pushes);
-  for (const exec::ProfileNode& child : node.children) {
-    work += TotalWork(child);
-  }
-  return work;
 }
 
 std::string CachedProvenance(const cache::CachedPlan& entry,
@@ -1213,14 +1174,19 @@ std::string CachedProvenance(const cache::CachedPlan& entry,
   const auto age = std::chrono::duration_cast<std::chrono::seconds>(
                        std::chrono::steady_clock::now() - entry.created)
                        .count();
+  std::vector<const LogicalExpr*> patterns;
+  CollectPatterns(*entry.plan, &patterns);
   std::string out =
       "cached (gen " + std::to_string(generation) + ", age " +
       std::to_string(age) + "s, hits " +
-      std::to_string(entry.hit_count.load(std::memory_order_relaxed)) +
-      ", strategy " +
-      std::string(exec::PatternStrategyName(
-          entry.strategy.load(std::memory_order_relaxed))) +
-      ")";
+      std::to_string(entry.hit_count.load(std::memory_order_relaxed));
+  // The per-τ-node engine picks, in plan order.
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    out += i == 0 ? (patterns.size() == 1 ? ", strategy " : ", strategies ")
+                  : ", ";
+    out += exec::PatternStrategyName(patterns[i]->strategy);
+  }
+  out += ")";
   if (entry.parameterized && !binds.empty()) {
     out += ", binds [";
     for (size_t i = 0; i < binds.size(); ++i) {
@@ -1274,7 +1240,8 @@ Result<std::string> SubstituteBindText(
 
 Result<exec::QueryResult> Database::Run(
     LogicalExprPtr plan, const QueryOptions& options,
-    std::shared_ptr<const CatalogState> catalog, ExecHints hints) const {
+    std::shared_ptr<const CatalogState> catalog,
+    std::string provenance) const {
   // Every execution gets a serving identity and a cancel token, registered
   // *before* admission so a queued query is already cancellable.
   const uint64_t query_id =
@@ -1299,16 +1266,8 @@ Result<exec::QueryResult> Database::Run(
                         scheduler_.Admit(token.get()));
 
   exec::EvalContext context = MakeContext(*catalog, options);
-  if (hints.have_strategy) {
-    // Cache hit (or install-time pick on the miss path): the per-execution
-    // optimizer pass is exactly what the plan cache exists to skip.
-    context.strategy = hints.strategy;
-  } else if (options.auto_optimize) {
-    context.strategy = PickStrategy(*catalog, *plan, nullptr);
-  }
   std::unique_ptr<exec::PlanProfile> profile;
-  const bool feedback_sample = hints.entry != nullptr && hints.sample_profile;
-  if (options.collect_stats || feedback_sample) {
+  if (options.collect_stats) {
     profile = exec::PlanProfile::Create(*plan);
     std::string doc_name;
     if (const LogicalExpr* scan = FindDocScan(*plan); scan != nullptr) {
@@ -1318,8 +1277,6 @@ Result<exec::QueryResult> Database::Run(
       opt::AnnotateProfile(*entry->synopsis, entry->dom->pool(), *plan,
                            profile.get());
     }
-    TagExecutedStrategy(*plan, exec::PatternStrategyName(context.strategy),
-                        profile.get());
     context.profile = profile.get();
   }
   // The guard lives on this frame: the executor and everything below it only
@@ -1346,25 +1303,7 @@ Result<exec::QueryResult> Database::Run(
   if (!result.ok()) return result.status();
   result->profile = std::move(profile);
   result->query_id = query_id;
-  result->plan_provenance = std::move(hints.provenance);
-  if (hints.entry != nullptr) {
-    // Fold this execution's observations into the entry's feedback state.
-    // Un-sampled, un-degraded runs just count; the state machine only moves
-    // on profiled samples (or a degradation signal).
-    if (result->profile != nullptr) {
-      PinPlanCache()->CommitFeedback(
-          *hints.entry, /*sampled=*/true, MaxQError(result->profile->root()),
-          TotalWork(result->profile->root()), context.strategy,
-          fallback.Degraded());
-    } else if (fallback.Degraded()) {
-      PinPlanCache()->CommitFeedback(*hints.entry, /*sampled=*/false, 0, 0,
-                                     context.strategy, true);
-    } else {
-      hints.entry->executions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // A feedback-only profile is internal; the caller didn't ask for stats.
-  if (!options.collect_stats) result->profile.reset();
+  result->plan_provenance = std::move(provenance);
   // Surface scrubber degradations for every document this query scanned,
   // the same channel engine fallbacks use.
   if (!catalog->degraded.empty()) {
@@ -1382,12 +1321,14 @@ Result<exec::QueryResult> Database::Run(
   }
   result->pinned = std::move(catalog);
   if (fallback.Degraded()) {
+    // The first reroute names the engine and the reason.
+    const exec::FallbackInfo::Reroute& first = fallback.reroutes.front();
     result->degraded = true;
     if (!result->degradation.empty()) result->degradation += "; ";
     result->degradation +=
-        "τ engine " + fallback.from_strategy +
-        (fallback.quarantined ? " quarantined (circuit breaker open)"
-                              : " faulted (" + fallback.reason + ")") +
+        "τ engine " + std::string(exec::PatternStrategyName(first.from)) +
+        (first.quarantined ? " quarantined (circuit breaker open)"
+                           : " faulted (" + first.reason + ")") +
         "; degraded to naive navigation";
   }
   return result;
@@ -1419,7 +1360,8 @@ std::string Database::CacheKey(bool is_path, const std::string& path_doc,
   // catalog, which the generation already versions.
   std::string key = is_path ? "P\x1f" + path_doc : std::string("Q");
   key += '\x1f';
-  // Options class: anything that changes what Compile/PickStrategy produce.
+  // Options class: anything that changes what Compile/PlanStrategies
+  // produce.
   if (options.auto_optimize) {
     key += 'A';
   } else {
@@ -1429,8 +1371,8 @@ std::string Database::CacheKey(bool is_path, const std::string& path_doc,
   key += options.flwor_mode == exec::FlworMode::kEnv ? 'e' : 'p';
   key += options.apply_rewrites ? 'r' : 'n';
   // Limits class: bounded/unbounded bits only — the plan is identical, but
-  // keeping classes apart means a fleet of deadline-bound queries can't
-  // have its feedback state polluted by unbounded ad-hoc runs.
+  // keeping classes apart keeps a fleet of deadline-bound queries from
+  // sharing hit counters and LRU slots with unbounded ad-hoc runs.
   key += options.limits.deadline_micros != 0 ? 'd' : '-';
   key += options.limits.max_steps != 0 ? 's' : '-';
   key += options.limits.max_memory_bytes != 0 ? 'm' : '-';
@@ -1476,10 +1418,9 @@ Result<exec::QueryResult> Database::CachedExecute(
           plan, is_path ? xpath::CompilePath(original_text, path_doc)
                         : Compile(original_text, options, *catalog));
     }
-    ExecHints hints;
-    hints.provenance = std::move(provenance);
+    PlanStrategies(*catalog, plan.get(), options);
     return Run(std::move(plan), options, std::move(catalog),
-               std::move(hints));
+               std::move(provenance));
   };
   if (!plan_cache->config().enabled || !options.use_plan_cache) {
     return run_uncached("fresh (cache bypassed)");
@@ -1499,31 +1440,23 @@ Result<exec::QueryResult> Database::CachedExecute(
     entry = nullptr;
   }
   if (entry != nullptr) {
-    // Hit: no parse, no rewrite, no optimizer — clone the template,
-    // substitute this execution's binds, run with the entry's strategy.
+    // Hit: no parse, no rewrite, no optimizer — clone the template (its τ
+    // nodes keep their engines), substitute this execution's binds, run.
     LogicalExprPtr bound =
         entry->parameterized
             ? cache::BindPlan(*entry->plan, entry->slots, values)
             : entry->plan->Clone();
-    ExecHints hints;
-    hints.have_strategy = true;
-    hints.strategy = options.auto_optimize
-                         ? entry->strategy.load(std::memory_order_relaxed)
-                         : options.strategy;
-    const uint64_t hit = entry->hit_count.load(std::memory_order_relaxed);
-    const uint64_t period = plan_cache->config().sample_period;
-    hints.sample_profile =
-        entry->adaptive && (period <= 1 || hit % period == 1);
-    hints.provenance = CachedProvenance(*entry, catalog->generation, values);
-    hints.entry = std::move(entry);
+    std::string provenance =
+        CachedProvenance(*entry, catalog->generation, values);
     return Run(std::move(bound), options, std::move(catalog),
-               std::move(hints));
+               std::move(provenance));
   }
 
   // Miss: compile the sentinel template (one plan per fingerprint), check
   // the binder can reach every lifted literal, bind this execution's
-  // values, pick the strategy on the *bound* plan (real values → real
-  // selectivities), and try to install the template. Query/QueryPath
+  // values, pick each τ node's engine on the *bound* plan (real values →
+  // real value-index counts), keep the picks in the template, and try to
+  // install it. Query/QueryPath
   // normalize in the light mode (fingerprint + values only — all a hit
   // needs), so the sentinel render happens here, on the slow path.
   cache::NormalizedQuery full_storage;
@@ -1542,36 +1475,21 @@ Result<exec::QueryResult> Database::CachedExecute(
   LogicalExprPtr bound = full->parameterized
                              ? cache::BindPlan(**tmpl, full->slots, values)
                              : (*tmpl)->Clone();
+  PlanStrategies(*catalog, bound.get(), options);
+  CopyStrategies(*bound, tmpl->get());
   entry = std::make_shared<cache::CachedPlan>();
   entry->key = key;
   entry->generation = catalog->generation;
   entry->slots = full->slots;
   entry->parameterized = full->parameterized;
-  entry->adaptive = options.auto_optimize;
   entry->created = std::chrono::steady_clock::now();
-  ExecHints hints;
-  hints.provenance = "fresh";
-  if (options.auto_optimize) {
-    std::vector<std::pair<exec::PatternStrategy, double>> ranking;
-    const exec::PatternStrategy choice =
-        PickStrategy(*catalog, *bound, nullptr, &ranking);
-    entry->strategy.store(choice, std::memory_order_relaxed);
-    entry->feedback.ranking = std::move(ranking);
-    hints.have_strategy = true;
-    hints.strategy = choice;
-  } else {
-    entry->strategy.store(options.strategy, std::memory_order_relaxed);
-  }
   entry->plan = std::move(*tmpl);
   entry->bytes = cache::PlanFootprint(*entry->plan) + key.size() +
                  sizeof(cache::CachedPlan);
-  hints.entry = entry;
-  hints.sample_profile = entry->adaptive;  // first execution always samples
   // Insert may fail (injected fault, racing first writer, over-budget
   // entry): the query still runs off its own bound copy.
   (void)plan_cache->Insert(std::move(entry));
-  return Run(std::move(bound), options, std::move(catalog),
-             std::move(hints));
+  return Run(std::move(bound), options, std::move(catalog), "fresh");
 }
 
 Result<exec::QueryResult> Database::Query(std::string_view query,
@@ -1693,7 +1611,7 @@ Result<std::string> Database::Explain(std::string_view query,
   }
   out += plan->ToString();
   std::string strategies;
-  PickStrategy(*catalog, *plan, &strategies);
+  PlanStrategies(*catalog, plan.get(), options, &strategies);
   if (!strategies.empty()) {
     out += "-- physical strategy --\n" + strategies;
   }

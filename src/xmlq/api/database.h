@@ -31,8 +31,8 @@ namespace xmlq::api {
 
 /// Per-query options.
 struct QueryOptions {
-  /// Pick the τ strategy with the cost model; when false, `strategy` is
-  /// forced for every pattern in the plan.
+  /// Pick each τ node's strategy with the cost model; when false,
+  /// `strategy` is forced for every pattern in the plan.
   bool auto_optimize = true;
   exec::PatternStrategy strategy = exec::PatternStrategy::kNok;
   exec::FlworMode flwor_mode = exec::FlworMode::kEnv;
@@ -497,32 +497,20 @@ class Database {
                                           const QueryOptions& options,
                                           const CatalogState& catalog) const;
 
-  /// How a plan handed to Run() relates to the plan cache.
-  struct ExecHints {
-    /// Strategy already decided (cache hit or install-time pick); Run skips
-    /// the per-execution PickStrategy.
-    bool have_strategy = false;
-    exec::PatternStrategy strategy = exec::PatternStrategy::kNok;
-    /// "fresh" / "cached (...)" for QueryResult::plan_provenance.
-    std::string provenance;
-    /// Feedback sink; when set, Run commits observed q-error/work to it.
-    std::shared_ptr<cache::CachedPlan> entry;
-    /// Profile this execution internally (feedback sampling) even when the
-    /// caller did not ask for stats; the profile is stripped before return.
-    bool sample_profile = false;
-  };
-
+  /// Executes a plan whose τ nodes already carry their engines.
+  /// `provenance` ("fresh" / "cached (...)") becomes the result's
+  /// plan_provenance.
   Result<exec::QueryResult> Run(algebra::LogicalExprPtr plan,
                                 const QueryOptions& options,
                                 std::shared_ptr<const CatalogState> catalog,
-                                ExecHints hints) const;
+                                std::string provenance) const;
 
   /// The transparent-cache execution path shared by Query, QueryPath and
   /// PreparedQuery::Execute: lookup by normalized fingerprint, bind + run on
-  /// hit; compile the sentinel template, pick a strategy on the bound plan
-  /// and insert on miss. `is_path` compiles via the XPath front end against
-  /// `path_doc` instead of Database::Compile. `values` overrides the
-  /// normalized query's own literals (PreparedQuery binds).
+  /// hit; compile the sentinel template, pick each τ node's engine on the
+  /// bound plan and insert on miss. `is_path` compiles via the XPath front
+  /// end against `path_doc` instead of Database::Compile. `values` overrides
+  /// the normalized query's own literals (PreparedQuery binds).
   Result<exec::QueryResult> CachedExecute(
       std::string_view original_text, const cache::NormalizedQuery& normalized,
       const std::vector<std::string>& values, const QueryOptions& options,
@@ -536,16 +524,12 @@ class Database {
 
   exec::EvalContext MakeContext(const CatalogState& catalog,
                                 const QueryOptions& options) const;
-  /// Applies the cost model to every τ node; returns the forced strategy
-  /// for the context (single strategy per plan: the cheapest for the most
-  /// expensive pattern). `ranking` (optional) receives the costliest
-  /// pattern's per-strategy cost ranking, cheapest first — the adaptive
-  /// re-plan order.
-  exec::PatternStrategy PickStrategy(
-      const CatalogState& catalog, const algebra::LogicalExpr& plan,
-      std::string* explanation,
-      std::vector<std::pair<exec::PatternStrategy, double>>* ranking =
-          nullptr) const;
+  /// Stamps every τ node of `plan` with its engine: the cost model's pick
+  /// over the node's document (auto_optimize), or the forced `strategy`.
+  /// `explanation` (optional) receives the cost model's line per τ node.
+  void PlanStrategies(const CatalogState& catalog, algebra::LogicalExpr* plan,
+                      const QueryOptions& options,
+                      std::string* explanation = nullptr) const;
 
   // Copy-on-write catalog: the mutex orders writers and guards the root
   // pointer; readers hold it only for the shared_ptr copy.

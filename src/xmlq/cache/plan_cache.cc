@@ -46,7 +46,7 @@ std::string CacheStats::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "plan-cache: hits=%llu misses=%llu bypass=%llu inserts=%llu "
                 "insert_faults=%llu evictions=%llu invalidations=%llu "
-                "replans=%llu resident_bytes=%llu entries=%llu",
+                "resident_bytes=%llu entries=%llu",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses),
                 static_cast<unsigned long long>(bypass),
@@ -54,7 +54,6 @@ std::string CacheStats::ToString() const {
                 static_cast<unsigned long long>(insert_faults),
                 static_cast<unsigned long long>(evictions),
                 static_cast<unsigned long long>(invalidations),
-                static_cast<unsigned long long>(replans),
                 static_cast<unsigned long long>(resident_bytes),
                 static_cast<unsigned long long>(entries));
   return buf;
@@ -168,88 +167,6 @@ void PlanCache::Clear() {
   }
 }
 
-bool PlanCache::CommitFeedback(CachedPlan& entry, bool sampled,
-                               double q_error, double work,
-                               exec::PatternStrategy executed,
-                               bool degraded) {
-  entry.executions.fetch_add(1, std::memory_order_relaxed);
-  if (!entry.adaptive) return false;
-  std::lock_guard<std::mutex> lock(entry.mu);
-  FeedbackState& fb = entry.feedback;
-  const size_t si = static_cast<size_t>(executed) & 7;
-  if (sampled && !degraded) {
-    // Only real profiled measurements feed the mean-work accumulators. The
-    // degraded paths report work=0 (no profile) or the fallback engine's
-    // counters — folding either in would drag the faulting strategy's mean
-    // toward 0 and let the terminal pinning step pin the very engine that
-    // was degrading.
-    fb.work_sum[si] += work;
-    fb.work_count[si]++;
-  }
-  fb.tried_mask |= 1u << si;
-  fb.executions_since_replan++;
-  if (fb.pinned) return false;
-  if (sampled && q_error > 0) {
-    fb.qerrors.push_back(q_error);
-    if (fb.qerrors.size() > config_.feedback_window) {
-      fb.qerrors.erase(fb.qerrors.begin());
-    }
-  }
-  // Hysteresis: no re-plan (even a quarantine-forced one) until the cool-down
-  // since the last switch has elapsed, so one bad interval can't flap the
-  // engine back and forth.
-  if (fb.executions_since_replan < config_.replan_cooldown_hits &&
-      fb.replans > 0) {
-    return false;
-  }
-  bool want = degraded;
-  if (!want) {
-    if (fb.qerrors.size() < config_.min_samples) return false;
-    std::vector<double> sorted = fb.qerrors;
-    std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                     sorted.end());
-    want = sorted[sorted.size() / 2] > config_.qerror_threshold;
-  }
-  if (!want) return false;
-  // Switch to the cheapest strategy the entry has not yet run.
-  for (const auto& [strategy, cost] : fb.ranking) {
-    const size_t ci = static_cast<size_t>(strategy) & 7;
-    if (fb.tried_mask & (1u << ci)) continue;
-    fb.tried_mask |= 1u << ci;
-    fb.qerrors.clear();
-    fb.executions_since_replan = 0;
-    fb.replans++;
-    replans_.fetch_add(1, std::memory_order_relaxed);
-    entry.strategy.store(strategy, std::memory_order_relaxed);
-    return true;
-  }
-  // Every ranked strategy has run: pin the one with the least mean observed
-  // work. Terminal — the entry stops adapting until invalidated/evicted.
-  exec::PatternStrategy best =
-      entry.strategy.load(std::memory_order_relaxed);
-  double best_work = -1;
-  for (const auto& [strategy, cost] : fb.ranking) {
-    const size_t ci = static_cast<size_t>(strategy) & 7;
-    if (fb.work_count[ci] == 0) continue;
-    const double mean = fb.work_sum[ci] / static_cast<double>(fb.work_count[ci]);
-    if (best_work < 0 || mean < best_work) {
-      best_work = mean;
-      best = strategy;
-    }
-  }
-  fb.pinned = true;
-  const bool switched =
-      best != entry.strategy.load(std::memory_order_relaxed);
-  if (switched) {
-    fb.replans++;
-    replans_.fetch_add(1, std::memory_order_relaxed);
-    entry.strategy.store(best, std::memory_order_relaxed);
-  }
-  fb.qerrors.clear();
-  fb.executions_since_replan = 0;
-  return switched;
-}
-
 CacheStats PlanCache::Stats() const {
   CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -259,7 +176,6 @@ CacheStats PlanCache::Stats() const {
   s.insert_faults = insert_faults_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.replans = replans_.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);
   return s;

@@ -19,8 +19,8 @@
 namespace xmlq::cache {
 
 /// Plan-cache tuning knobs (api::Database::SetPlanCache). The defaults are
-/// the production configuration; tests shrink them to force evictions and
-/// re-plans deterministically.
+/// the production configuration; tests shrink them to force evictions
+/// deterministically.
 struct CacheConfig {
   bool enabled = true;
   /// Number of independently locked shards (rounded up to a power of two).
@@ -29,18 +29,6 @@ struct CacheConfig {
   /// shard under its 1/shard_count share.
   size_t memory_budget_bytes = size_t{64} << 20;
 
-  // Feedback-driven adaptation (DESIGN.md §11). A cached plan is profiled
-  // every `sample_period`-th execution; when the median q-error over the
-  // last `feedback_window` samples exceeds `qerror_threshold` (and at least
-  // `min_samples` samples exist), the entry re-plans onto the next engine
-  // in the optimizer's cost ranking. `replan_cooldown_hits` executions must
-  // pass between re-plans (hysteresis: one bad sample after a re-plan can't
-  // flap the engine straight back).
-  uint64_t sample_period = 16;
-  double qerror_threshold = 8.0;
-  size_t feedback_window = 9;
-  size_t min_samples = 5;
-  uint64_t replan_cooldown_hits = 32;
 };
 
 /// Monotonic counters, mirrored after exec::AdmissionStats. All cheap
@@ -55,7 +43,6 @@ struct CacheStats {
   uint64_t insert_faults = 0;  // XMLQ_FAULT site "cache.plan.insert"
   uint64_t evictions = 0;      // LRU / memory-budget removals
   uint64_t invalidations = 0;  // entries dropped by catalog generation swap
-  uint64_t replans = 0;        // feedback-driven strategy switches
   uint64_t resident_bytes = 0; // current footprint estimate
   uint64_t entries = 0;        // current entry count
 
@@ -64,57 +51,21 @@ struct CacheStats {
   std::string ToString() const;
 };
 
-/// Per-entry adaptive-selection state (guarded by CachedPlan::mu).
-/// State machine: an entry starts *tracking*; each profiled sample appends
-/// its plan-level q-error to a bounded window. When the median exceeds the
-/// threshold (or the executor reports the engine degraded/quarantined), the
-/// entry *re-plans*: switches to the cheapest not-yet-tried strategy from
-/// the install-time cost ranking and clears the window. Once every ranked
-/// strategy has been tried, the entry *pins* the strategy with the lowest
-/// mean observed work and stops adapting (terminal, until the entry is
-/// invalidated or evicted).
-struct FeedbackState {
-  /// Install-time cost ranking (cheapest first) from opt::ChooseStrategy's
-  /// alternatives, for the costliest pattern of the plan.
-  std::vector<std::pair<exec::PatternStrategy, double>> ranking;
-  /// Recent plan q-errors (bounded ring of CacheConfig::feedback_window).
-  std::vector<double> qerrors;
-  uint64_t executions_since_replan = 0;
-  uint32_t tried_mask = 0;  // bit per PatternStrategy value
-  bool pinned = false;
-  uint64_t replans = 0;
-  /// Mean-observed-work accumulators per strategy (indexed by enum value).
-  /// Fed only by profiled, non-degraded runs — degraded executions carry no
-  /// usable work measurement for the attempted strategy.
-  double work_sum[8] = {};
-  uint64_t work_count[8] = {};
-};
-
-/// One immutable compiled template plus its mutable execution/feedback
-/// bookkeeping. Shared: lookups hand out shared_ptrs, so eviction or
-/// invalidation never frees a plan a concurrent execution still reads.
-/// `plan` itself is never mutated after insert — executions clone it
-/// (binding sentinels) and run the clone.
+/// One immutable compiled template plus its hit counter. Shared: lookups
+/// hand out shared_ptrs, so eviction or invalidation never frees a plan a
+/// concurrent execution still reads. `plan` itself is never mutated after
+/// insert — executions clone it (binding sentinels) and run the clone. Each
+/// τ node of `plan` carries the engine picked for it on the miss path.
 struct CachedPlan {
   std::string key;
   uint64_t generation = 0;
   algebra::LogicalExprPtr plan;  // const after Insert
   std::vector<BindSlot> slots;
   bool parameterized = false;
-  /// False for forced-strategy (auto_optimize=false) entries: they execute
-  /// with the caller's engine and never adapt.
-  bool adaptive = false;
   size_t bytes = 0;
   std::chrono::steady_clock::time_point created{};
 
   std::atomic<uint64_t> hit_count{0};
-  std::atomic<uint64_t> executions{0};
-  /// Current engine pick, re-written by feedback re-plans. Read lock-free
-  /// on the hit path.
-  std::atomic<exec::PatternStrategy> strategy{exec::PatternStrategy::kNok};
-
-  mutable std::mutex mu;  // guards feedback
-  FeedbackState feedback;
 };
 
 /// Sharded, thread-safe LRU plan cache. Keys are composed by the caller
@@ -156,17 +107,6 @@ class PlanCache {
 
   void RecordBypass() { bypass_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Folds one execution's observations into `entry`'s feedback state and
-  /// applies the re-plan state machine. `sampled` says whether this
-  /// execution was profiled (q_error valid); `work` is the deterministic
-  /// work metric (node visits + index probes + stack pushes) under the
-  /// strategy `executed`; `degraded` forces an immediate re-plan attempt
-  /// (engine fault / quarantine). Returns true when the entry switched
-  /// strategy.
-  bool CommitFeedback(CachedPlan& entry, bool sampled, double q_error,
-                      double work, exec::PatternStrategy executed,
-                      bool degraded);
-
   CacheStats Stats() const;
 
  private:
@@ -190,7 +130,7 @@ class PlanCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<uint64_t> hits_{0}, misses_{0}, bypass_{0}, inserts_{0},
-      insert_faults_{0}, evictions_{0}, invalidations_{0}, replans_{0},
+      insert_faults_{0}, evictions_{0}, invalidations_{0},
       resident_bytes_{0}, entries_{0};
 };
 

@@ -19,21 +19,20 @@ using algebra::LogicalOp;
 using algebra::NodeRef;
 using algebra::Sequence;
 
-std::string_view PatternStrategyName(PatternStrategy strategy) {
-  switch (strategy) {
-    case PatternStrategy::kNok:
-      return "nok";
-    case PatternStrategy::kTwigStack:
-      return "twigstack";
-    case PatternStrategy::kPathStack:
-      return "pathstack";
-    case PatternStrategy::kBinaryJoin:
-      return "binaryjoin";
-    case PatternStrategy::kNaive:
-      return "naive";
+namespace {
+
+/// Records `pattern` as rerouted to the naive engine (once per pattern: a τ
+/// inside a loop runs many times).
+void NoteReroute(FallbackInfo* info, const algebra::PatternGraph& pattern,
+                 PatternStrategy from, bool quarantined, std::string reason) {
+  if (info == nullptr) return;
+  for (const FallbackInfo::Reroute& seen : info->reroutes) {
+    if (seen.pattern == &pattern) return;
   }
-  return "unknown";
+  info->reroutes.push_back({&pattern, from, quarantined, std::move(reason)});
 }
+
+}  // namespace
 
 Result<QueryResult> Executor::Evaluate(const LogicalExpr& plan) {
   QueryResult out;
@@ -82,9 +81,9 @@ const Sequence* Executor::LookupVar(const Scope* scope,
 
 Result<NodeList> Executor::MatchPattern(const IndexedDocument& doc,
                                         const algebra::PatternGraph& pattern,
+                                        PatternStrategy chosen,
                                         OpStats* stats) const {
   const ResourceGuard* guard = context_->guard;
-  const PatternStrategy chosen = context_->strategy;
   auto run = [&](PatternStrategy strategy) -> Result<NodeList> {
     switch (strategy) {
       case PatternStrategy::kNok:
@@ -111,12 +110,8 @@ Result<NodeList> Executor::MatchPattern(const IndexedDocument& doc,
   // pattern runs on the always-trusted naive engine outright.
   if (chosen != PatternStrategy::kNaive && context_->breaker != nullptr &&
       !context_->breaker->Allow(chosen, context_->admitted_seq)) {
-    if (FallbackInfo* info = context_->fallback;
-        info != nullptr && !info->Degraded()) {
-      info->quarantined = true;
-      info->from_strategy = PatternStrategyName(chosen);
-      info->reason = "circuit breaker open";
-    }
+    NoteReroute(context_->fallback, pattern, chosen, /*quarantined=*/true,
+                "circuit breaker open");
     return run(PatternStrategy::kNaive);
   }
   auto result = run(chosen);
@@ -142,12 +137,8 @@ Result<NodeList> Executor::MatchPattern(const IndexedDocument& doc,
     }
     auto retry = NaiveMatchPattern(*doc.dom, pattern, guard, stats);
     if (retry.ok()) {
-      if (FallbackInfo* info = context_->fallback;
-          info != nullptr && !info->Degraded()) {
-        info->engine_downgraded = true;
-        info->from_strategy = PatternStrategyName(chosen);
-        info->reason = result.status().message();
-      }
+      NoteReroute(context_->fallback, pattern, chosen, /*quarantined=*/false,
+                  result.status().message());
     }
     return retry;
   }
@@ -403,8 +394,9 @@ Result<Sequence> Executor::EvalTreePattern(const LogicalExpr& expr,
         "τ expects a document node as its Tree input");
   }
   XMLQ_ASSIGN_OR_RETURN(const IndexedDocument* doc, DocumentOf(dom));
-  XMLQ_ASSIGN_OR_RETURN(NodeList matches,
-                        MatchPattern(*doc, *expr.pattern, StatsFor(expr)));
+  XMLQ_ASSIGN_OR_RETURN(
+      NodeList matches,
+      MatchPattern(*doc, *expr.pattern, expr.strategy, StatsFor(expr)));
   XMLQ_GUARD_CHARGE(context_->guard, matches.size() * sizeof(xml::NodeId));
   return ToSequence(*dom, matches);
 }

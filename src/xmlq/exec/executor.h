@@ -15,35 +15,27 @@
 
 namespace xmlq::exec {
 
-/// Physical strategy for the τ (tree pattern matching) operator — the choice
-/// the paper's evaluation compares (§4.2 / experiment E1).
-enum class PatternStrategy : uint8_t {
-  kNok,        // NoK partition + single-scan matching + seam joins (hybrid)
-  kTwigStack,  // holistic twig join over region streams [13]
-  kPathStack,  // chained-stack path join [13]; twigs fall back to TwigStack
-  kBinaryJoin, // one stack-tree structural join per edge [12]
-  kNaive,      // recursive DOM navigation [10]
-};
-
-std::string_view PatternStrategyName(PatternStrategy strategy);
+using algebra::PatternStrategy;
+using algebra::PatternStrategyName;
 
 class CircuitBreaker;  // exec/admission.h
 
 /// How (and why) the executor degraded a query to the naive navigational
 /// engine. Filled in by MatchPattern when the serving layer attached one to
-/// the EvalContext; a query with several τ operators accumulates into the
-/// same record (the first downgrade's reason wins).
+/// the EvalContext: one entry per rerouted pattern (a τ inside a loop is
+/// listed once), in the order they were first rerouted.
 struct FallbackInfo {
-  /// The chosen engine returned a retryable fault and the pattern was
-  /// re-run (successfully or not) on the naive engine.
-  bool engine_downgraded = false;
-  /// The chosen engine was quarantined by the circuit breaker and never
-  /// attempted; the pattern ran on the naive engine outright.
-  bool quarantined = false;
-  std::string from_strategy;  // engine originally chosen for the pattern
-  std::string reason;         // fault message, or "circuit breaker open"
+  struct Reroute {
+    const algebra::PatternGraph* pattern = nullptr;
+    PatternStrategy from = PatternStrategy::kNok;  // the node's engine
+    /// True when the breaker had quarantined the engine and it was never
+    /// tried; false when it faulted and the pattern re-ran on naive.
+    bool quarantined = false;
+    std::string reason;  // fault message, or "circuit breaker open"
+  };
+  std::vector<Reroute> reroutes;
 
-  bool Degraded() const { return engine_downgraded || quarantined; }
+  bool Degraded() const { return !reroutes.empty(); }
 };
 
 /// How FLWOR expressions are evaluated (experiment F2).
@@ -57,7 +49,6 @@ enum class FlworMode : uint8_t {
 /// document.
 struct EvalContext {
   std::map<std::string, IndexedDocument, std::less<>> documents;
-  PatternStrategy strategy = PatternStrategy::kNok;
   FlworMode flwor_mode = FlworMode::kEnv;
   /// Optional resource governor polled throughout evaluation (deadline,
   /// step quota, memory budget, cancellation). Not owned; must outlive the
@@ -126,11 +117,12 @@ class Executor {
       const std::map<std::string, algebra::Sequence>& vars,
       QueryResult* out);
 
-  /// Runs just the τ operator on `pattern` over the named document with the
-  /// context's strategy. Used by the plan interpreter and the benches.
-  /// `stats` (optional) receives the chosen engine's execution counters.
+  /// Runs just the τ operator on `pattern` over `doc` with `strategy`,
+  /// degrading to the naive engine on a fault or quarantine. Used by the
+  /// plan interpreter. `stats` (optional) receives the engine's counters.
   Result<NodeList> MatchPattern(const IndexedDocument& doc,
                                 const algebra::PatternGraph& pattern,
+                                PatternStrategy strategy,
                                 OpStats* stats = nullptr) const;
 
  private:

@@ -59,7 +59,6 @@ struct OpStats {
 /// operator is outside the synopsis' reach, e.g. a value join).
 struct PlanEstimate {
   double rows = -1;
-  double cost = -1;           // cost-model units; τ operators only
   std::string strategy;       // chosen physical strategy; τ operators only
   bool HasRows() const { return rows >= 0; }
 };

@@ -1,96 +1,246 @@
 #include "xmlq/opt/cost_model.h"
 
 #include <algorithm>
+#include <vector>
+
+#include "xmlq/xpath/nok_partition.h"
 
 namespace xmlq::opt {
 
+namespace {
+
+using algebra::Axis;
 using algebra::PatternGraph;
 using algebra::VertexId;
+using exec::PatternStrategy;
 
-double CostNok(const Synopsis& synopsis, const PatternGraph& pattern,
-               const xpath::NokPartition& partition,
-               const CardinalityEstimate& est, const CostParams& params) {
-  (void)pattern;
-  // One streaming pass over the whole node population per part. (The
-  // matcher processes parts independently; a production system would fuse
-  // them into one pass — costed pessimistically here.)
-  double cost = params.scan_node *
-                static_cast<double>(synopsis.TotalNodes()) *
-                static_cast<double>(partition.parts.size());
-  // Seam structural joins: heads and attach bindings are path-restricted.
-  for (size_t q = 1; q < partition.parts.size(); ++q) {
-    const xpath::NokPart& part = partition.parts[q];
-    cost += params.pair * (est.vertex_cardinality[part.head] +
-                           est.vertex_cardinality[part.attach_vertex]);
+/// Reads of the stream of every vertex, and predicate checks on the streams
+/// of vertices that carry predicates (BuildVertexStream).
+void StreamWork(const PatternGraph& pattern, const CardinalityEstimate& est,
+                CostFeatures* work) {
+  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
+    work->stream += est.stream_size[v];
+    if (!pattern.vertex(v).predicates.empty()) {
+      work->predicate += est.stream_size[v];
+    }
   }
-  return cost;
 }
 
-double CostTwigStack(const CardinalityEstimate& est,
-                     const CostParams& params) {
-  double cost = 0;
-  for (size_t v = 1; v < est.stream_size.size(); ++v) {
-    cost += params.stream_item * est.stream_size[v];
-    // Each path solution produces roughly one pair per edge.
-    cost += params.pair * est.vertex_cardinality[v];
+CostFeatures HolisticWork(const PatternGraph& pattern,
+                          const CardinalityEstimate& est, bool path_stack) {
+  // PathStack runs branching patterns on TwigStack.
+  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
+    if (pattern.vertex(v).children.size() > 1) path_stack = false;
   }
-  return cost;
+  CostFeatures work;
+  StreamWork(pattern, est, &work);
+  const double k = static_cast<double>(pattern.VertexCount());
+  for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
+    const double filtered = est.stream_size[v] * est.selectivity[v];
+    double processed = filtered;
+    if (!path_stack && !pattern.vertex(v).children.empty()) {
+      // getNext skips (one cursor step each) the entries of an inner
+      // vertex that cannot extend to every child; the rest are processed.
+      const double extend =
+          est.path_cardinality[v] > 0
+              ? std::min(1.0, est.vertex_cardinality[v] /
+                                  est.path_cardinality[v])
+              : 0.0;
+      processed = filtered * extend;
+    }
+    // A processed entry inspects all k vertices: getNext recurses over the
+    // twig, PathStack compares every stream head. TwigStack records a pair
+    // only for nodes whose extension getNext has verified; PathStack
+    // records every node under a stacked parent.
+    (path_stack ? work.merge : work.twig_step) += k * processed;
+    work.merge += filtered - processed;
+    work.pair += path_stack ? est.path_cardinality[v]
+                            : est.vertex_cardinality[v];
+  }
+  return work;
+}
+
+CostFeatures BinaryJoinWork(const PatternGraph& pattern,
+                            const CardinalityEstimate& est,
+                            std::span<const VertexId> order) {
+  CostFeatures work;
+  StreamWork(pattern, est, &work);
+  std::vector<VertexId> edges(order.begin(), order.end());
+  if (edges.empty()) {
+    for (VertexId v = 1; v < pattern.VertexCount(); ++v) edges.push_back(v);
+  }
+  // current[v]: the estimated size of v's candidate list as joins proceed.
+  std::vector<double> current(pattern.VertexCount());
+  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
+    current[v] = est.stream_size[v] * est.selectivity[v];
+  }
+  for (VertexId v : edges) {
+    const VertexId parent = pattern.vertex(v).parent;
+    // Each surviving descendant contributes about one pair (ancestors of
+    // the same tag rarely nest).
+    const double pairs = std::min(current[v], est.path_cardinality[v]);
+    // The merge join, then sorting both sides' survivors and mapping them
+    // back to regions.
+    work.merge += current[parent] + current[v] + 4 * pairs;
+    work.pair += pairs;
+    // Semi-join reduction: both sides shrink to (at most) the survivors.
+    current[v] = std::min(current[v], pairs);
+    current[parent] =
+        std::min({current[parent], est.path_cardinality[parent], pairs});
+  }
+  return work;
+}
+
+CostFeatures NokWork(const Synopsis& synopsis, const xml::NamePool& pool,
+                     const PatternGraph& pattern,
+                     const CardinalityEstimate& est) {
+  const xpath::NokPartition partition = xpath::PartitionNok(pattern);
+  const auto& nodes = synopsis.nodes();
+  CostFeatures work;
+  // local[v]: the synopsis nodes v binds to when its part's head anchors at
+  // every candidate of its tag stream (the scan is not path-restricted).
+  std::vector<std::vector<uint32_t>> local(pattern.VertexCount());
+  // bound[v]: nodes bound to v by its part's scan (predicates applied).
+  std::vector<double> bound(pattern.VertexCount(), 0);
+  const std::vector<uint32_t> document = {0};
+  for (const xpath::NokPart& part : partition.parts) {
+    const algebra::PatternVertex& head = pattern.vertex(part.head);
+    const bool single = part.vertices.size() == 1;
+    if (head.is_root && single) {  // trivial: the document node
+      bound[part.head] = 1;
+      continue;
+    }
+    if (!head.is_root && head.label == "*") {
+      work.scan += static_cast<double>(synopsis.TotalNodes());
+    } else if (!head.is_root) {
+      // Candidates come from the head's tag stream; larger parts open one
+      // subtree window per candidate.
+      work.stream += est.stream_size[part.head];
+      if (!single) work.anchor += est.stream_size[part.head];
+    }
+    for (const VertexId v : part.vertices) {
+      const algebra::PatternVertex& vertex = pattern.vertex(v);
+      if (v == part.head) {
+        algebra::PatternVertex anywhere = vertex;
+        anywhere.incoming_axis = Axis::kDescendant;
+        local[v] = vertex.is_root
+                       ? document
+                       : EmbedStep(synopsis, pool, document, anywhere);
+      } else {
+        local[v] = EmbedStep(synopsis, pool, local[vertex.parent], vertex);
+      }
+      double count = 0;
+      for (const uint32_t s : local[v]) count += nodes[s].count;
+      if (!vertex.predicates.empty()) work.predicate += count;
+      bound[v] = count * est.selectivity[v];
+      if (single) {
+        work.merge += count;  // the candidates are the matches
+      } else {
+        for (const uint32_t s : local[v]) work.scan += nodes[s].child_nodes;
+      }
+    }
+  }
+  // Seam joins: the parent part's attach bindings and the child part's
+  // heads are mapped to regions and semi-joined twice (bottom-up validity,
+  // top-down reachability); the (head, binding) pairs are resolved through
+  // hash sets.
+  for (size_t q = 1; q < partition.parts.size(); ++q) {
+    const xpath::NokPart& part = partition.parts[q];
+    const double attach = bound[part.attach_vertex];
+    const double parent_heads =
+        bound[partition.parts[static_cast<size_t>(part.parent_part)].head];
+    work.merge += 4 * (attach + bound[part.head]);
+    work.hash += 5 * attach + 3 * parent_heads;
+  }
+  const VertexId output = pattern.SoleOutput();
+  if (output != algebra::kNoVertex) {
+    const xpath::NokPart& part =
+        partition.parts[static_cast<size_t>(partition.part_of[output])];
+    if (output != part.head) {
+      work.hash += bound[part.head] + 2 * bound[output];
+      work.merge += bound[output];
+    }
+  }
+  return work;
+}
+
+CostFeatures NaiveWork(const Synopsis& synopsis, const PatternGraph& pattern,
+                       const CardinalityEstimate& est) {
+  const auto& nodes = synopsis.nodes();
+  CostFeatures work;
+  // live[v]: the fraction of v's path nodes whose ancestors-or-self passed
+  // their value predicates — the nodes the navigator steps out of.
+  std::vector<double> live(pattern.VertexCount(), 1);
+  for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
+    const algebra::PatternVertex& vertex = pattern.vertex(v);
+    const std::vector<uint32_t>& from = est.paths[vertex.parent];
+    const double share = live[vertex.parent];
+    const bool descendant = vertex.incoming_axis == Axis::kDescendant;
+    double contexts = 0, explored = 0;
+    for (const uint32_t s : from) {
+      contexts += nodes[s].count;
+      explored += static_cast<double>(descendant ? nodes[s].subtree_nodes
+                                                 : nodes[s].child_nodes);
+    }
+    // One axis step (and its result list) per context node.
+    work.call += contexts * share;
+    work.navigate += explored * share;
+    // A descendant step finds a node once per context above it; the
+    // duplicates are sorted away. above[s]: contexts on s's root path.
+    std::vector<uint32_t> above;
+    if (descendant) {
+      std::vector<char> is_context(nodes.size(), 0);
+      for (const uint32_t s : from) is_context[s] = 1;
+      above.assign(nodes.size(), 0);
+      for (uint32_t s = 1; s < nodes.size(); ++s) {  // parents come first
+        above[s] = above[nodes[s].parent] + is_context[nodes[s].parent];
+      }
+    }
+    double reached = 0;
+    for (const uint32_t s : est.paths[v]) {
+      reached += nodes[s].count * (descendant ? above[s] : 1.0);
+    }
+    work.merge += reached * share;
+    if (!vertex.predicates.empty()) work.predicate += reached * share;
+    live[v] = share * est.selectivity[v];
+  }
+  return work;
+}
+
+}  // namespace
+
+double Charge(const CostFeatures& work, const CostParams& params) {
+  return params.stream * work.stream + params.anchor * work.anchor +
+         params.scan * work.scan + params.navigate * work.navigate +
+         params.predicate * work.predicate + params.merge * work.merge +
+         params.twig_step * work.twig_step + params.pair * work.pair +
+         params.hash * work.hash + params.call * work.call;
+}
+
+CostFeatures EstimateWork(PatternStrategy strategy, const Synopsis& synopsis,
+                          const xml::NamePool& pool,
+                          const PatternGraph& pattern,
+                          const CardinalityEstimate& est) {
+  switch (strategy) {
+    case PatternStrategy::kNok:
+      return NokWork(synopsis, pool, pattern, est);
+    case PatternStrategy::kTwigStack:
+      return HolisticWork(pattern, est, /*path_stack=*/false);
+    case PatternStrategy::kPathStack:
+      return HolisticWork(pattern, est, /*path_stack=*/true);
+    case PatternStrategy::kBinaryJoin:
+      return BinaryJoinWork(pattern, est, {});
+    case PatternStrategy::kNaive:
+      return NaiveWork(synopsis, pattern, est);
+  }
+  return {};
 }
 
 double CostBinaryJoin(const PatternGraph& pattern,
                       const CardinalityEstimate& est,
                       std::span<const VertexId> order,
                       const CostParams& params) {
-  const size_t k = pattern.VertexCount();
-  std::vector<VertexId> edges(order.begin(), order.end());
-  if (edges.empty()) {
-    for (VertexId v = 1; v < k; ++v) edges.push_back(v);
-  }
-  // current[v]: the estimated size of v's candidate list as joins proceed.
-  std::vector<double> current = est.stream_size;
-  double cost = 0;
-  for (VertexId v : edges) {
-    const VertexId parent = pattern.vertex(v).parent;
-    cost += params.stream_item * (current[parent] + current[v]);
-    // Each surviving descendant contributes about one pair (ancestors of
-    // the same tag rarely nest), so the pair count tracks the smaller of
-    // the descendant candidates and its path cardinality.
-    const double pairs = std::min(current[v], est.vertex_cardinality[v]);
-    cost += params.pair * pairs;
-    // Semi-join reduction: both sides shrink to (at most) the survivors.
-    current[v] = std::min({current[v], est.vertex_cardinality[v], pairs});
-    current[parent] =
-        std::min({current[parent], est.vertex_cardinality[parent], pairs});
-  }
-  return cost;
-}
-
-double CostNaive(const Synopsis& synopsis, const PatternGraph& pattern,
-                 const CardinalityEstimate& est, const CostParams& params) {
-  // Per step, the navigator touches every child (or the whole subtree for
-  // '//') of every context node. Approximate the explored set per vertex by
-  // the parent's cardinality times the average fanout (or subtree size for
-  // descendant steps).
-  const double avg_fanout =
-      synopsis.TotalElements() > 0
-          ? static_cast<double>(synopsis.TotalNodes()) /
-                static_cast<double>(synopsis.TotalElements())
-          : 1.0;
-  double cost = 0;
-  for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
-    const VertexId parent = pattern.vertex(v).parent;
-    const double contexts = std::max(1.0, est.vertex_cardinality[parent]);
-    double explored;
-    if (pattern.vertex(v).incoming_axis == algebra::Axis::kDescendant) {
-      // Each context rescans its subtree; approximate by total/contexts at
-      // the top and by full subtrees deeper down.
-      explored = static_cast<double>(synopsis.TotalNodes());
-    } else {
-      explored = contexts * avg_fanout;
-    }
-    cost += params.navigate * explored;
-  }
-  return cost;
+  return Charge(BinaryJoinWork(pattern, est, order), params);
 }
 
 }  // namespace xmlq::opt

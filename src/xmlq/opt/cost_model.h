@@ -1,35 +1,57 @@
 #ifndef XMLQ_OPT_COST_MODEL_H_
 #define XMLQ_OPT_COST_MODEL_H_
 
-#include <string>
+#include <span>
 
 #include "xmlq/algebra/pattern_graph.h"
 #include "xmlq/exec/executor.h"
 #include "xmlq/opt/cardinality.h"
 #include "xmlq/opt/synopsis.h"
-#include "xmlq/xpath/nok_partition.h"
+#include "xmlq/xml/name_pool.h"
 
 namespace xmlq::opt {
 
-/// Abstract per-operation charges. Calibrated roughly to the relative
-/// measured throughputs of the physical operators; the *ordering* of plan
-/// costs is what matters for strategy selection (the paper defers an exact
-/// cost model to future work — this is that extension, experiment E4/E6).
-struct CostParams {
-  double scan_node = 1.0;     // NoK: visiting one node during the scan
-  double stream_item = 2.5;   // join-based: moving one stream cursor
-  double pair = 4.0;          // producing one intermediate join pair
-  double navigate = 6.0;      // naive: one DOM pointer dereference + test
+/// The work one τ engine does on one pattern, counted in the units
+/// CostParams charges for. Every count is derived at plan time from the
+/// synopsis, the value index and the tag-stream sizes.
+struct CostFeatures {
+  double stream = 0;     // region-stream entries copied into vertex streams
+  double anchor = 0;     // NoK: candidate subtree windows opened
+  double scan = 0;       // NoK: nodes opened by the candidate-anchored scan
+  double navigate = 0;   // naive: DOM nodes visited by axis steps
+  double call = 0;       // naive: axis steps taken (one per context node)
+  double predicate = 0;  // value predicates evaluated (string-values built)
+  double merge = 0;      // sequential steps over node or region lists
+  double twig_step = 0;  // holistic joins: vertices inspected per merge step
+  double pair = 0;       // join pairs recorded and filtered (FilterEdgePairs)
+  double hash = 0;       // NoK: hash-set inserts and probes at part seams
 };
 
-/// Cost of the hybrid NoK plan: one scan per NoK part plus seam joins.
-double CostNok(const Synopsis& synopsis, const algebra::PatternGraph& pattern,
-               const xpath::NokPartition& partition,
-               const CardinalityEstimate& est, const CostParams& params = {});
+/// Nanoseconds charged per unit of each CostFeatures count, fitted by
+/// least squares against measured per-engine wall time (EXPERIMENTS.md E4,
+/// `bench_costmodel`).
+struct CostParams {
+  double stream = 8.8;
+  double anchor = 220;
+  double scan = 28;
+  double navigate = 11.5;
+  double call = 57;
+  double predicate = 4.1;
+  double merge = 6.0;
+  double twig_step = 9.6;
+  double pair = 180;
+  double hash = 14;
+};
 
-/// Cost of the holistic twig join: all streams + estimated solution pairs.
-double CostTwigStack(const CardinalityEstimate& est,
-                     const CostParams& params = {});
+/// Estimated nanoseconds for `work`.
+double Charge(const CostFeatures& work, const CostParams& params = {});
+
+/// The work `strategy` does on `pattern` (PathStack on a branching pattern
+/// runs TwigStack and is costed as such).
+CostFeatures EstimateWork(exec::PatternStrategy strategy,
+                          const Synopsis& synopsis, const xml::NamePool& pool,
+                          const algebra::PatternGraph& pattern,
+                          const CardinalityEstimate& est);
 
 /// Cost of a binary structural-join plan for a given edge order (entries are
 /// edge target vertices; empty = ascending order). Models semi-join
@@ -39,12 +61,6 @@ double CostBinaryJoin(const algebra::PatternGraph& pattern,
                       const CardinalityEstimate& est,
                       std::span<const algebra::VertexId> order = {},
                       const CostParams& params = {});
-
-/// Cost of naive recursive navigation: contexts × explored fanout per step.
-double CostNaive(const Synopsis& synopsis,
-                 const algebra::PatternGraph& pattern,
-                 const CardinalityEstimate& est,
-                 const CostParams& params = {});
 
 }  // namespace xmlq::opt
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "xmlq/xpath/nok_partition.h"
-
 namespace xmlq::opt {
 
 using algebra::PatternGraph;
@@ -14,23 +12,20 @@ StrategyChoice ChooseStrategy(const Synopsis& synopsis,
                               const xml::NamePool& pool,
                               const PatternGraph& pattern) {
   const CardinalityEstimate est = EstimatePattern(synopsis, pool, pattern);
-  const xpath::NokPartition partition = xpath::PartitionNok(pattern);
-
-  StrategyChoice choice;
-  choice.alternatives = {
-      {PatternStrategy::kNok, CostNok(synopsis, pattern, partition, est)},
-      {PatternStrategy::kTwigStack, CostTwigStack(est)},
-      {PatternStrategy::kBinaryJoin, CostBinaryJoin(pattern, est)},
-      {PatternStrategy::kNaive, CostNaive(synopsis, pattern, est)},
-  };
   bool linear = true;
   for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
     if (pattern.vertex(v).children.size() > 1) linear = false;
   }
-  if (linear) {
-    // PathStack behaves like TwigStack without getNext bookkeeping.
-    choice.alternatives.push_back(
-        {PatternStrategy::kPathStack, CostTwigStack(est) * 0.9});
+  StrategyChoice choice;
+  for (const PatternStrategy strategy :
+       {PatternStrategy::kNok, PatternStrategy::kTwigStack,
+        PatternStrategy::kBinaryJoin, PatternStrategy::kNaive,
+        PatternStrategy::kPathStack}) {
+    // PathStack runs branching patterns on TwigStack: not an alternative.
+    if (strategy == PatternStrategy::kPathStack && !linear) continue;
+    choice.alternatives.emplace_back(
+        strategy,
+        Charge(EstimateWork(strategy, synopsis, pool, pattern, est)));
   }
   const auto best = std::min_element(
       choice.alternatives.begin(), choice.alternatives.end(),
@@ -60,7 +55,7 @@ std::vector<VertexId> ChooseJoinOrder(const Synopsis& synopsis,
     const auto rank = [&](VertexId v) {
       const VertexId p = pattern.vertex(v).parent;
       return std::min(est.stream_size[p], est.stream_size[v]) +
-             est.vertex_cardinality[v];
+             est.path_cardinality[v];
     };
     return rank(a) < rank(b);
   });

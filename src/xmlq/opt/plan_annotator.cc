@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "xmlq/opt/cardinality.h"
-#include "xmlq/opt/optimizer.h"
 
 namespace xmlq::opt {
 
@@ -35,10 +34,7 @@ double Annotate(const Synopsis& synopsis, const xml::NamePool& pool,
         const CardinalityEstimate card =
             EstimatePattern(synopsis, pool, *expr.pattern);
         estimate.rows = card.output_cardinality;
-        const StrategyChoice choice =
-            ChooseStrategy(synopsis, pool, *expr.pattern);
-        estimate.strategy = exec::PatternStrategyName(choice.strategy);
-        estimate.cost = choice.cost;
+        estimate.strategy = exec::PatternStrategyName(expr.strategy);
       }
       break;
     case LogicalOp::kNavigate:
@@ -62,7 +58,7 @@ double Annotate(const Synopsis& synopsis, const xml::NamePool& pool,
     }
     case LogicalOp::kSelectValue:
       if (!child_rows.empty() && child_rows[0] >= 0) {
-        estimate.rows = child_rows[0] * kPredicateSelectivity;
+        estimate.rows = child_rows[0] * kUnindexedSelectivity;
       }
       break;
     case LogicalOp::kStructuralJoin: {
@@ -114,11 +110,12 @@ void ReannotateFallback(const LogicalExpr& plan,
                         exec::PlanProfile* profile) {
   if (profile == nullptr || !fallback.Degraded()) return;
   if (plan.op == algebra::LogicalOp::kTreePattern) {
-    if (exec::ProfileNode* node = profile->NodeFor(&plan); node != nullptr) {
+    exec::ProfileNode* node = profile->NodeFor(&plan);
+    for (const exec::FallbackInfo::Reroute& reroute : fallback.reroutes) {
+      if (node == nullptr || reroute.pattern != plan.pattern.get()) continue;
       node->estimate.strategy =
-          fallback.from_strategy +
-          (fallback.quarantined ? "->naive (quarantined)"
-                                : "->naive (fault)");
+          std::string(exec::PatternStrategyName(reroute.from)) +
+          (reroute.quarantined ? "->naive (quarantined)" : "->naive (fault)");
     }
   }
   for (const auto& child : plan.children) {

@@ -17,12 +17,12 @@ namespace xmlq::opt {
 ///  - DocScan: exactly 1 row (the document node).
 ///  - TreePattern: EstimatePattern() output cardinality — exact for
 ///    predicate-free patterns (the synopsis is a lossless structural
-///    summary) — plus the chosen strategy and its cost-model score.
+///    summary) — plus the node's own strategy.
 ///  - Navigate(label): CountByName(label), the synopsis upper bound for the
 ///    step's result before context restriction.
 ///  - SelectTag / StructuralJoin / DocOrderDedup / SelectValue / Sequence:
 ///    derived from child estimates (min with the tag count, semi-join upper
-///    bound, pass-through, kPredicateSelectivity, sum respectively).
+///    bound, pass-through, kUnindexedSelectivity, sum respectively).
 ///
 /// Operators outside the synopsis' reach (value joins, FLWOR, construction,
 /// functions) are left without a row estimate; their profile lines omit the
@@ -32,9 +32,9 @@ void AnnotateProfile(const Synopsis& synopsis, const xml::NamePool& pool,
                      const algebra::LogicalExpr& plan,
                      exec::PlanProfile* profile);
 
-/// Rewrites the strategy annotation on every τ profile node after the
-/// executor degraded the query (engine fault or circuit-breaker
-/// quarantine), so EXPLAIN ANALYZE shows what actually ran:
+/// Rewrites the strategy annotation on each τ profile node the executor
+/// degraded (engine fault or circuit-breaker quarantine), so EXPLAIN
+/// ANALYZE shows what actually ran:
 ///
 ///   TreePattern [twigstack->naive (fault)] est=120 rows=118 ...
 ///   TreePattern [nok->naive (quarantined)] ...

@@ -1,58 +1,78 @@
 #include "xmlq/opt/synopsis.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
 namespace xmlq::opt {
 
-Synopsis::Synopsis(const xml::Document& doc) {
+Synopsis::Synopsis(const xml::Document& doc,
+                   const storage::ValueIndex* values)
+    : values_(values) {
   nodes_.push_back(Node{});  // document node summary
   nodes_[0].count = 1;
-  // (synopsis parent, name, is_attribute) -> synopsis node
-  std::map<std::tuple<uint32_t, xml::NameId, bool>, uint32_t> index;
   // Per document node: its synopsis node (document order pass).
   std::vector<uint32_t> syn_of(doc.NodeCount(), 0);
   const size_t n = doc.NodeCount();
   total_nodes_ = n;
-  // Incremental depth (parents precede children in pre-order); calling
-  // Document::Depth per node would be O(n * depth) on degenerate chains.
-  std::vector<uint32_t> depth(n, 0);
+  // Per (label, is_attribute): the synopsis node it last mapped to.
+  std::vector<uint32_t> last_of(2 * doc.pool().size(), UINT32_MAX);
   for (xml::NodeId id = 1; id < n; ++id) {
-    depth[id] = depth[doc.Parent(id)] + 1;
+    const uint32_t parent_syn = syn_of[doc.Parent(id)];
+    ++nodes_[parent_syn].child_nodes;
     const xml::NodeKind kind = doc.Kind(id);
     if (kind != xml::NodeKind::kElement &&
         kind != xml::NodeKind::kAttribute) {
       continue;
     }
     const bool attr = kind == xml::NodeKind::kAttribute;
-    const uint32_t parent_syn = syn_of[doc.Parent(id)];
-    const auto key = std::make_tuple(parent_syn, doc.Name(id), attr);
-    auto it = index.find(key);
-    uint32_t syn;
-    if (it == index.end()) {
+    const xml::NameId name = doc.Name(id);
+    // A path has few distinct child labels: scanning them beats a keyed
+    // lookup over every path. The last node of the same label usually is
+    // the one (siblings repeat), and a label never seen before needs no
+    // scan, which keeps a wide fan-out of distinct labels linear.
+    uint32_t& last = last_of[2 * static_cast<size_t>(name) + attr];
+    uint32_t syn = last;
+    if (syn != UINT32_MAX && nodes_[syn].parent != parent_syn) {
+      syn = UINT32_MAX;
+      for (const uint32_t c : nodes_[parent_syn].children) {
+        if (nodes_[c].name == name && nodes_[c].is_attribute == attr) {
+          syn = c;
+          break;
+        }
+      }
+    }
+    if (syn == UINT32_MAX) {
       syn = static_cast<uint32_t>(nodes_.size());
       Node node;
-      node.name = doc.Name(id);
+      node.name = name;
       node.is_attribute = attr;
       node.parent = parent_syn;
       nodes_.push_back(std::move(node));
       nodes_[parent_syn].children.push_back(syn);
-      index.emplace(key, syn);
-    } else {
-      syn = it->second;
     }
+    last = syn;
     ++nodes_[syn].count;
     syn_of[id] = syn;
     auto& by = attr ? attr_by_name_ : by_name_;
-    if (doc.Name(id) >= by.size()) by.resize(doc.Name(id) + 1, 0);
-    ++by[doc.Name(id)];
-    if (!attr) {
-      ++total_elements_;
-      max_depth_ = std::max(max_depth_, depth[id]);
-    }
+    if (name >= by.size()) by.resize(name + 1, 0);
+    ++by[name];
+    if (!attr) ++total_elements_;
   }
+  // An element's depth is its path's length, so the deepest element path
+  // gives the document depth (parents are created before children).
+  std::vector<uint32_t> depth(nodes_.size(), 0);
+  for (size_t s = 1; s < nodes_.size(); ++s) {
+    depth[s] = depth[nodes_[s].parent] + 1;
+    if (!nodes_[s].is_attribute) max_depth_ = std::max(max_depth_, depth[s]);
+  }
+  // Children are created after their parents, so one reverse sweep folds
+  // every subtree into its parent.
+  for (size_t s = nodes_.size(); s-- > 1;) {
+    nodes_[s].subtree_nodes += nodes_[s].child_nodes;
+    nodes_[nodes_[s].parent].subtree_nodes += nodes_[s].subtree_nodes;
+  }
+  nodes_[0].subtree_nodes += nodes_[0].child_nodes;
 }
 
 namespace {

@@ -113,21 +113,56 @@ ValueIndex::ValueIndex(const xml::Document& doc) {
   BuildFamily(&attribute_raw, doc.pool().size(), &attributes_);
 }
 
+std::span<const ValueIndex::Entry> ValueIndex::EqualRun(
+    xml::NameId name, std::string_view value, bool attribute) const {
+  const Family& family = FamilyFor(attribute);
+  if (name == xml::kInvalidName || name + 1 >= family.offsets.size()) {
+    return {};
+  }
+  struct ByValue {
+    bool operator()(const Entry& e, std::string_view v) const {
+      return e.value < v;
+    }
+    bool operator()(std::string_view v, const Entry& e) const {
+      return v < e.value;
+    }
+  };
+  const auto [lo, hi] = std::equal_range(
+      family.entries.begin() + family.offsets[name],
+      family.entries.begin() + family.offsets[name + 1], value, ByValue{});
+  return {lo, hi};
+}
+
+std::span<const ValueIndex::NumericEntry> ValueIndex::NumericRun(
+    xml::NameId name, double lo, bool lo_inclusive, double hi,
+    bool hi_inclusive, bool attribute) const {
+  const Family& family = FamilyFor(attribute);
+  if (name == xml::kInvalidName ||
+      name + 1 >= family.numeric_offsets.size()) {
+    return {};
+  }
+  const auto begin = family.numeric.begin() + family.numeric_offsets[name];
+  const auto end = family.numeric.begin() + family.numeric_offsets[name + 1];
+  // Runs are sorted by value: the first entry inside the lower bound, then
+  // the first past the upper bound.
+  const auto first =
+      std::partition_point(begin, end, [&](const NumericEntry& e) {
+        return lo_inclusive ? e.value < lo : e.value <= lo;
+      });
+  const auto last =
+      std::partition_point(first, end, [&](const NumericEntry& e) {
+        return hi_inclusive ? e.value <= hi : e.value < hi;
+      });
+  return {first, last};
+}
+
 std::vector<xml::NodeId> ValueIndex::Lookup(xml::NameId name,
                                             std::string_view value,
                                             bool attribute) const {
-  const Family& family = FamilyFor(attribute);
   std::vector<xml::NodeId> out;
-  if (name == xml::kInvalidName || name + 1 >= family.offsets.size()) {
-    return out;
+  for (const Entry& e : EqualRun(name, value, attribute)) {
+    out.push_back(e.node);
   }
-  const auto begin = family.entries.begin() + family.offsets[name];
-  const auto end = family.entries.begin() + family.offsets[name + 1];
-  auto lo = std::lower_bound(begin, end, value,
-                             [](const Entry& e, std::string_view v) {
-                               return e.value < v;
-                             });
-  for (; lo != end && lo->value == value; ++lo) out.push_back(lo->node);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -135,19 +170,10 @@ std::vector<xml::NodeId> ValueIndex::Lookup(xml::NameId name,
 std::vector<xml::NodeId> ValueIndex::LookupNumericRange(
     xml::NameId name, double lo, bool lo_inclusive, double hi,
     bool hi_inclusive, bool attribute) const {
-  const Family& family = FamilyFor(attribute);
   std::vector<xml::NodeId> out;
-  if (name == xml::kInvalidName ||
-      name + 1 >= family.numeric_offsets.size()) {
-    return out;
-  }
-  const auto begin = family.numeric.begin() + family.numeric_offsets[name];
-  const auto end = family.numeric.begin() + family.numeric_offsets[name + 1];
-  for (auto it = begin; it != end; ++it) {
-    const bool above = lo_inclusive ? it->value >= lo : it->value > lo;
-    const bool below = hi_inclusive ? it->value <= hi : it->value < hi;
-    if (above && below) out.push_back(it->node);
-    if (!below && it->value > hi) break;  // runs are sorted by value
+  for (const NumericEntry& e :
+       NumericRun(name, lo, lo_inclusive, hi, hi_inclusive, attribute)) {
+    out.push_back(e.node);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -87,6 +87,21 @@ class ValueIndex {
                                               bool hi_inclusive,
                                               bool attribute) const;
 
+  /// How many nodes Lookup(name, value, attribute) would return, found by
+  /// binary search over the sorted run without building the node list.
+  size_t CountEqual(xml::NameId name, std::string_view value,
+                    bool attribute) const {
+    return EqualRun(name, value, attribute).size();
+  }
+
+  /// How many nodes LookupNumericRange(...) would return, by binary search.
+  size_t CountNumericRange(xml::NameId name, double lo, bool lo_inclusive,
+                           double hi, bool hi_inclusive,
+                           bool attribute) const {
+    return NumericRun(name, lo, lo_inclusive, hi, hi_inclusive, attribute)
+        .size();
+  }
+
   /// Number of indexed entries (both families).
   size_t size() const;
 
@@ -119,6 +134,14 @@ class ValueIndex {
     std::vector<NumericEntry> numeric;
     std::vector<uint32_t> numeric_offsets;
   };
+
+  /// The entries of `name`'s run equal to `value` / inside the bounds.
+  std::span<const Entry> EqualRun(xml::NameId name, std::string_view value,
+                                  bool attribute) const;
+  std::span<const NumericEntry> NumericRun(xml::NameId name, double lo,
+                                           bool lo_inclusive, double hi,
+                                           bool hi_inclusive,
+                                           bool attribute) const;
 
   static void BuildFamily(std::vector<std::pair<xml::NameId, Entry>>* raw,
                           size_t name_count, Family* family);

@@ -1,9 +1,10 @@
 // Plan-cache subsystem suite (DESIGN.md §11): query normalization and
 // fingerprinting, the transparent cache inside Database::Query, bind-slot
 // round-trips against an uncached differential oracle, prepared statements,
-// generation invalidation, memory-budget eviction, feedback-driven adaptive
-// re-planning, fault injection at the insert site, and a multi-thread
-// hit/miss/invalidate stress (CI re-runs this file under ASan and TSan).
+// generation invalidation, memory-budget eviction, the per-τ-node engine
+// picks a cached plan keeps, fault injection at the insert site, and a
+// multi-thread hit/miss/invalidate stress (CI re-runs this file under ASan
+// and TSan).
 
 #include <gtest/gtest.h>
 
@@ -607,10 +608,60 @@ TEST(PlanCacheTest, OversizedEntryIsNotAdmitted) {
 }
 
 // ---------------------------------------------------------------------------
-// Feedback-driven adaptation
+// Per-τ-node engine picks
 // ---------------------------------------------------------------------------
 
-TEST(PlanCacheTest, AdaptiveReplanOnHighQError) {
+/// The engine each τ operator of a profiled run executed, in plan order.
+std::vector<std::string> TauStrategies(const exec::QueryResult& result) {
+  std::vector<std::string> out;
+  if (result.profile == nullptr) return out;
+  std::vector<const exec::ProfileNode*> stack{&result.profile->root()};
+  while (!stack.empty()) {
+    const exec::ProfileNode* node = stack.back();
+    stack.pop_back();
+    if (node->label.starts_with("TreePattern")) {
+      out.push_back(node->estimate.strategy);
+    }
+    for (auto it = node->children.rbegin(); it != node->children.rend();
+         ++it) {
+      stack.push_back(&*it);
+    }
+  }
+  return out;
+}
+
+/// The engine list at the end of a "cached (...)" provenance line.
+std::string ProvenancePicks(const std::string& provenance) {
+  const size_t at = provenance.find(", strateg");
+  return at == std::string::npos ? "" : provenance.substr(at);
+}
+
+TEST(PlanCacheTest, CacheHitRunsForcedEngine) {
+  api::Database db;
+  ASSERT_TRUE(db.LoadDocument("bib.xml", kBib).ok());
+  for (const exec::PatternStrategy strategy :
+       {exec::PatternStrategy::kNaive, exec::PatternStrategy::kTwigStack}) {
+    api::QueryOptions forced;
+    forced.auto_optimize = false;
+    forced.strategy = strategy;
+    forced.collect_stats = true;
+    const std::string name(exec::PatternStrategyName(strategy));
+    for (int i = 0; i < 3; ++i) {
+      auto result = db.QueryPath("//book[author]/title", {}, forced);
+      ASSERT_TRUE(result.ok()) << name;
+      EXPECT_EQ(result->plan_provenance.substr(0, 6),
+                i == 0 ? "fresh" : "cached")
+          << result->plan_provenance;
+      EXPECT_EQ(TauStrategies(*result), std::vector<std::string>{name});
+      if (i > 0) {
+        EXPECT_EQ(ProvenancePicks(result->plan_provenance),
+                  ", strategy " + name + ")");
+      }
+    }
+  }
+}
+
+TEST(PlanCacheTest, CachedPicksAreStable) {
   api::Database db;
   datagen::AuctionOptions doc_options;
   doc_options.scale = 0.05;
@@ -618,94 +669,32 @@ TEST(PlanCacheTest, AdaptiveReplanOnHighQError) {
   ASSERT_TRUE(db.RegisterDocument("auction.xml",
                                   datagen::GenerateAuctionSite(doc_options))
                   .ok());
-  cache::CacheConfig config;
-  config.sample_period = 1;       // profile every execution
-  config.min_samples = 1;         // decide on the first sample
-  config.qerror_threshold = 0.5;  // q-error is >= 1 → always "bad"
-  config.replan_cooldown_hits = 0;
-  db.SetPlanCache(config);
-
-  // Every execution reports a q-error above the threshold, so the entry
-  // must walk the strategy ranking deterministically, then pin.
-  const std::string query = "//person[address][phone]/name";
-  std::string reference;
-  for (int i = 0; i < 12; ++i) {
-    auto result = db.QueryPath(query);
-    ASSERT_TRUE(result.ok()) << i;
-    const std::string got = api::Database::ToXml(*result);
-    if (i == 0) {
-      reference = got;
-    } else {
-      ASSERT_EQ(got, reference) << "re-plan changed results at run " << i;
-    }
+  const std::vector<std::string> queries = {
+      "//person[address][phone]/name",
+      "//person[@id = 'person3']/name",
+      "for $p in doc(\"auction.xml\")//person[@id = 'person5'], "
+      "$c in doc(\"auction.xml\")//closed_auction "
+      "where $c/buyer/@person = $p/@id return $c/price",
+  };
+  api::QueryOptions stats;
+  stats.collect_stats = true;
+  for (const std::string& query : queries) {
+    auto fresh = db.Query(query, stats);
+    ASSERT_TRUE(fresh.ok()) << query;
+    const std::vector<std::string> picks = TauStrategies(*fresh);
+    ASSERT_FALSE(picks.empty()) << query;
+    auto first_hit = db.Query(query, stats);
+    ASSERT_TRUE(first_hit.ok()) << query;
+    const std::string provenance = ProvenancePicks(first_hit->plan_provenance);
+    ASSERT_FALSE(provenance.empty()) << first_hit->plan_provenance;
+    EXPECT_EQ(TauStrategies(*first_hit), picks) << query;
+    for (int i = 0; i < 1000; ++i) ASSERT_TRUE(db.Query(query).ok()) << query;
+    auto last = db.Query(query, stats);
+    ASSERT_TRUE(last.ok()) << query;
+    EXPECT_EQ(TauStrategies(*last), picks) << query;
+    EXPECT_EQ(ProvenancePicks(last->plan_provenance), provenance) << query;
   }
-  const cache::CacheStats stats = db.plan_cache_stats();
-  EXPECT_GE(stats.replans, 1u);
-  EXPECT_EQ(stats.misses, 1u);  // adaptation happens in place, no re-compile
-  EXPECT_GE(stats.hits, 11u);
-}
-
-TEST(PlanCacheTest, CooldownDampsReplanFlapping) {
-  api::Database db;
-  ASSERT_TRUE(db.LoadDocument("bib.xml", kBib).ok());
-  cache::CacheConfig config;
-  config.sample_period = 1;
-  config.min_samples = 1;
-  config.qerror_threshold = 0.5;
-  config.replan_cooldown_hits = 1000;  // one switch, then hold
-  db.SetPlanCache(config);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(db.QueryPath("//book[author/last = 'Stevens']/title").ok());
-  }
-  EXPECT_LE(db.plan_cache_stats().replans, 1u);
-}
-
-TEST(PlanCacheTest, DegradedRunsDoNotPolluteWorkAccumulators) {
-  // Regression: the unsampled degraded path commits work=0; folding that
-  // into the mean-work accumulators dragged the faulting engine's mean
-  // toward 0, so the terminal pinning step could pin the very strategy
-  // that was degrading.
-  cache::CacheConfig config;
-  config.min_samples = 1;
-  config.qerror_threshold = 0.5;
-  config.replan_cooldown_hits = 0;
-  cache::PlanCache pc(config);
-  cache::CachedPlan entry;
-  entry.adaptive = true;
-  entry.strategy.store(exec::PatternStrategy::kTwigStack);
-  entry.feedback.ranking = {{exec::PatternStrategy::kTwigStack, 1.0},
-                            {exec::PatternStrategy::kNok, 2.0}};
-  // TwigStack faults (degraded, no profile, work=0) → re-plan onto NoK.
-  EXPECT_TRUE(pc.CommitFeedback(entry, /*sampled=*/false, /*q_error=*/0,
-                                /*work=*/0, exec::PatternStrategy::kTwigStack,
-                                /*degraded=*/true));
-  EXPECT_EQ(entry.strategy.load(), exec::PatternStrategy::kNok);
-  // NoK runs clean but over the q-error threshold; with every ranked
-  // strategy tried, the entry pins the least mean work. TwigStack's only
-  // observation was the degraded zero-work ghost — it must not win.
-  EXPECT_FALSE(pc.CommitFeedback(entry, /*sampled=*/true, /*q_error=*/100.0,
-                                 /*work=*/500.0, exec::PatternStrategy::kNok,
-                                 /*degraded=*/false));
-  EXPECT_TRUE(entry.feedback.pinned);
-  EXPECT_EQ(entry.strategy.load(), exec::PatternStrategy::kNok);
-}
-
-TEST(PlanCacheTest, ForcedStrategyNeverAdapts) {
-  api::Database db;
-  ASSERT_TRUE(db.LoadDocument("bib.xml", kBib).ok());
-  cache::CacheConfig config;
-  config.sample_period = 1;
-  config.min_samples = 1;
-  config.qerror_threshold = 0.5;
-  config.replan_cooldown_hits = 0;
-  db.SetPlanCache(config);
-  api::QueryOptions forced;
-  forced.auto_optimize = false;
-  forced.strategy = exec::PatternStrategy::kNaive;
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(db.QueryPath("//book[author]/title", {}, forced).ok());
-  }
-  EXPECT_EQ(db.plan_cache_stats().replans, 0u);
+  EXPECT_EQ(db.plan_cache_stats().misses, queries.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -745,10 +734,6 @@ TEST(PlanCacheStressTest, ConcurrentHitsMissesAndInvalidations) {
   cache::CacheConfig config;
   config.shard_count = 4;
   config.memory_budget_bytes = 32 << 10;  // small: force evictions too
-  config.sample_period = 2;               // frequent feedback commits
-  config.min_samples = 2;
-  config.qerror_threshold = 0.5;
-  config.replan_cooldown_hits = 4;
   db.SetPlanCache(config);
 
   constexpr int kThreads = 8;

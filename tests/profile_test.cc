@@ -10,8 +10,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "xmlq/api/database.h"
+#include "xmlq/base/fault_injector.h"
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/random_tree.h"
 #include "xmlq/exec/nok_matcher.h"
@@ -308,6 +310,64 @@ TEST(ProfileDeterminismTest, ExplainAnalyzeRendersEstimatesAndCounters) {
   EXPECT_NE(text->find("rows="), std::string::npos) << *text;
   EXPECT_NE(text->find("err="), std::string::npos) << *text;
   EXPECT_NE(text->find("item(s)"), std::string::npos) << *text;
+}
+
+/// The bracketed engine of every TreePattern line of a rendered profile.
+std::vector<std::string> TreePatternEngines(const std::string& rendered) {
+  std::vector<std::string> out;
+  for (size_t at = rendered.find("TreePattern"); at != std::string::npos;
+       at = rendered.find("TreePattern", at + 1)) {
+    const size_t open = rendered.find('[', at);
+    const size_t close = rendered.find(']', open);
+    out.push_back(rendered.substr(open + 1, close - open - 1));
+  }
+  return out;
+}
+
+constexpr const char* kTwoPatternJoin =
+    "for $p in doc(\"auction.xml\")//person[@id = 'person3'], "
+    "$c in doc(\"auction.xml\")//closed_auction "
+    "where $c/buyer/@person = $p/@id return $c/price";
+
+TEST(ProfileDeterminismTest, EachTreePatternShowsItsOwnEngine) {
+  api::Database db;
+  datagen::AuctionOptions gen;
+  gen.scale = 0.04;
+  ASSERT_TRUE(
+      db.RegisterDocument("auction.xml", datagen::GenerateAuctionSite(gen))
+          .ok());
+  // The selective id lookup and the bare closed_auction scan get different
+  // engines; each profile line shows its own, and the cached plan's
+  // provenance lists the same picks in plan order.
+  auto fresh = db.ExplainAnalyze(kTwoPatternJoin);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  const std::vector<std::string> engines = TreePatternEngines(*fresh);
+  EXPECT_EQ(engines, (std::vector<std::string>{"twigstack", "nok"}))
+      << *fresh;
+  auto cached = db.ExplainAnalyze(kTwoPatternJoin);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(TreePatternEngines(*cached), engines) << *cached;
+  EXPECT_NE(cached->find("strategies twigstack, nok)"), std::string::npos)
+      << *cached;
+}
+
+TEST(ProfileDeterminismTest, FallbackIsMarkedOnTheDegradedNodeOnly) {
+  api::Database db;
+  datagen::AuctionOptions gen;
+  gen.scale = 0.04;
+  ASSERT_TRUE(
+      db.RegisterDocument("auction.xml", datagen::GenerateAuctionSite(gen))
+          .ok());
+  db.SetBreaker({.fault_threshold = 100, .cooldown_admissions = 100});
+  FaultInjector::Instance().Arm("exec.twigstack.match", /*skip=*/0,
+                                /*count=*/1);
+  auto rendered = db.ExplainAnalyze(kTwoPatternJoin);
+  FaultInjector::Instance().Reset();
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(TreePatternEngines(*rendered),
+            (std::vector<std::string>{"twigstack->naive (fault)", "nok"}))
+      << *rendered;
+  EXPECT_NE(rendered->find("degraded:"), std::string::npos) << *rendered;
 }
 
 }  // namespace

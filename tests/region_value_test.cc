@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
 #include "xmlq/datagen/random_tree.h"
 #include "xmlq/storage/region_index.h"
@@ -133,6 +134,77 @@ TEST(ValueIndexTest, BibliographyPriceRange) {
   ASSERT_FALSE(some.empty());
   const double v = std::stod(doc->StringValue(some[0]));
   EXPECT_LE(v, 80.0);
+}
+
+TEST(ValueIndexTest, CountsWithoutMaterializing) {
+  auto doc = xml::ParseDocument(
+      "<r><p>10</p><p>20</p><p>10</p><p>x</p>"
+      "<i price=\"5\"/><i price=\"15\"/><i price=\"15\"/></r>");
+  ASSERT_TRUE(doc.ok());
+  ValueIndex index(*doc);
+  const xml::NameId p = doc->pool().Find("p");
+  const xml::NameId price = doc->pool().Find("price");
+  // Absent name: never interned, or interned but not in this family.
+  EXPECT_EQ(index.CountEqual(xml::kInvalidName, "10", false), 0u);
+  EXPECT_EQ(index.CountEqual(doc->pool().Find("r"), "10", false), 0u);
+  EXPECT_EQ(index.CountEqual(price, "15", /*attribute=*/false), 0u);
+  EXPECT_EQ(index.CountNumericRange(xml::kInvalidName, 0, true, 100, true,
+                                    false),
+            0u);
+  EXPECT_EQ(index.CountNumericRange(p, 0, true, 100, true, true), 0u);
+  // Absent value.
+  EXPECT_EQ(index.CountEqual(p, "30", false), 0u);
+  EXPECT_EQ(index.CountEqual(price, "7", true), 0u);
+  EXPECT_EQ(index.CountNumericRange(p, 11, true, 19, true, false), 0u);
+  // Present values, both families.
+  EXPECT_EQ(index.CountEqual(p, "10", false), 2u);
+  EXPECT_EQ(index.CountEqual(p, "x", false), 1u);
+  EXPECT_EQ(index.CountEqual(price, "15", true), 2u);
+  // Inclusive and exclusive bounds ("x" has no numeric value).
+  EXPECT_EQ(index.CountNumericRange(p, 10, true, 20, true, false), 3u);
+  EXPECT_EQ(index.CountNumericRange(p, 10, false, 20, true, false), 1u);
+  EXPECT_EQ(index.CountNumericRange(p, 10, true, 20, false, false), 2u);
+  EXPECT_EQ(index.CountNumericRange(p, 10, false, 20, false, false), 0u);
+  EXPECT_EQ(index.CountNumericRange(price, 5, true, 15, true, true), 3u);
+  EXPECT_EQ(index.CountNumericRange(price, 5, false, 15, true, true), 2u);
+  EXPECT_EQ(index.CountNumericRange(price, 5, true, 15, false, true), 1u);
+  EXPECT_EQ(index.CountNumericRange(price, 15, true, 15, true, true), 2u);
+}
+
+TEST(ValueIndexTest, CountsEqualLookupSizesOnAuction) {
+  datagen::AuctionOptions options;
+  options.scale = 0.05;
+  options.seed = 11;
+  auto doc = datagen::GenerateAuctionSite(options);
+  ValueIndex index(*doc);
+  // Every indexed (name, value) key, both families.
+  size_t checked = 0;
+  for (xml::NodeId id = 0; id < doc->NodeCount(); ++id) {
+    const bool attribute = doc->Kind(id) == xml::NodeKind::kAttribute;
+    if (!attribute && doc->Kind(id) != xml::NodeKind::kElement) continue;
+    const std::string value = doc->StringValue(id);
+    ASSERT_EQ(index.CountEqual(doc->Name(id), value, attribute),
+              index.Lookup(doc->Name(id), value, attribute).size())
+        << doc->pool().NameOf(doc->Name(id)) << " = " << value;
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000u);
+  for (const char* name : {"increase", "current", "price", "quantity"}) {
+    const xml::NameId id = doc->pool().Find(name);
+    ASSERT_NE(id, xml::kInvalidName) << name;
+    for (const double lo : {0.0, 1.5, 10.0, 25.0}) {
+      for (const double hi : {1.5, 12.0, 26.5, 1e9}) {
+        for (const bool lo_in : {false, true}) {
+          for (const bool hi_in : {false, true}) {
+            EXPECT_EQ(index.CountNumericRange(id, lo, lo_in, hi, hi_in, false),
+                      index.LookupNumericRange(id, lo, lo_in, hi, hi_in, false)
+                          .size())
+                << name << " " << lo << ".." << hi;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
