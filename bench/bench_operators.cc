@@ -74,7 +74,8 @@ void BM_SelectValue(benchmark::State& state) {
   auto plan = algebra::MakeSelectValue(
       algebra::MakeNavigate(algebra::MakeDocScan("auction.xml"),
                             algebra::Axis::kDescendant, "price", false),
-      algebra::ValuePredicate{algebra::CompareOp::kGt, "200", true});
+      algebra::ValuePredicate{algebra::CompareOp::kGt, "200",
+                              algebra::ValueTyping::kNumber});
   RunPlan(state, *plan);
 }
 BENCHMARK(BM_SelectValue)->Name("T1/select_value_sigma_v");

@@ -40,6 +40,25 @@ std::string_view LogicalOpName(LogicalOp op) {
   return "Unknown";
 }
 
+std::optional<CompareOp> ComparisonOf(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return CompareOp::kEq;
+    case BinaryOp::kNe:
+      return CompareOp::kNe;
+    case BinaryOp::kLt:
+      return CompareOp::kLt;
+    case BinaryOp::kLe:
+      return CompareOp::kLe;
+    case BinaryOp::kGt:
+      return CompareOp::kGt;
+    case BinaryOp::kGe:
+      return CompareOp::kGe;
+    default:
+      return std::nullopt;
+  }
+}
+
 std::string_view BinaryOpName(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd:

@@ -2,6 +2,7 @@
 #define XMLQ_ALGEBRA_LOGICAL_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,6 +67,9 @@ enum class BinaryOp : uint8_t {
 };
 
 std::string_view BinaryOpName(BinaryOp op);
+
+/// The comparison a BinaryOp makes; nullopt for arithmetic and logic.
+std::optional<CompareOp> ComparisonOf(BinaryOp op);
 
 /// One clause of a FLWOR expression. `expr_child` indexes into the kFlwor
 /// node's children; the return expression is always the last child.

@@ -1,6 +1,7 @@
 #include "xmlq/algebra/pattern_graph.h"
 
 #include <cassert>
+#include <cmath>
 
 #include "xmlq/base/strings.h"
 
@@ -40,51 +41,105 @@ std::string_view CompareOpName(CompareOp op) {
   return "?";
 }
 
-bool ValuePredicate::Eval(std::string_view value) const {
-  if (numeric) {
-    const auto lhs = ParseDouble(value);
-    const auto rhs = ParseDouble(literal);
-    if (!lhs.has_value() || !rhs.has_value()) {
-      // Non-numeric node value never satisfies a numeric comparison,
-      // matching XPath general-comparison semantics with number coercion.
-      return false;
-    }
-    switch (op) {
-      case CompareOp::kEq:
-        return *lhs == *rhs;
-      case CompareOp::kNe:
-        return *lhs != *rhs;
-      case CompareOp::kLt:
-        return *lhs < *rhs;
-      case CompareOp::kLe:
-        return *lhs <= *rhs;
-      case CompareOp::kGt:
-        return *lhs > *rhs;
-      case CompareOp::kGe:
-        return *lhs >= *rhs;
-    }
-    return false;
-  }
+namespace {
+
+template <typename T>
+bool Ordered(CompareOp op, const T& x, const T& y) {
   switch (op) {
     case CompareOp::kEq:
-      return value == literal;
+      return x == y;
     case CompareOp::kNe:
-      return value != literal;
+      return x != y;
     case CompareOp::kLt:
-      return value < literal;
+      return x < y;
     case CompareOp::kLe:
-      return value <= literal;
+      return x <= y;
     case CompareOp::kGt:
-      return value > literal;
+      return x > y;
     case CompareOp::kGe:
-      return value >= literal;
+      return x >= y;
+  }
+  return false;
+}
+
+}  // namespace
+
+Comparand Comparand::OfText(std::string_view text) {
+  Comparand c;
+  c.text = text;
+  if (const std::optional<double> parsed = ParseDouble(text)) {
+    c.number = *parsed;
+    c.parses = true;
+  }
+  return c;
+}
+
+bool CompareGeneral(CompareOp op, const Comparand& a, const Comparand& b) {
+  if (a.is_number || b.is_number || (a.parses && b.parses)) {
+    if (std::isnan(a.number) || std::isnan(b.number)) {
+      return op == CompareOp::kNe;
+    }
+    return Ordered(op, a.number, b.number);
+  }
+  return Ordered(op, a.text, b.text);
+}
+
+ValuePredicate::ValuePredicate(CompareOp op, std::string literal,
+                               ValueTyping typing)
+    : op(op), typing(typing) {
+  set_literal(std::move(literal));
+}
+
+void ValuePredicate::set_literal(std::string literal) {
+  literal_ = std::move(literal);
+  const std::optional<double> parsed = ParseDouble(literal_);
+  parses_ = parsed.has_value();
+  number_ = parsed.value_or(std::numeric_limits<double>::quiet_NaN());
+}
+
+std::optional<double> ValuePredicate::number() const {
+  if (!parses_) return std::nullopt;
+  return number_;
+}
+
+bool ValuePredicate::Eval(std::string_view value) const {
+  switch (typing) {
+    case ValueTyping::kString:
+      return Ordered(op, value, std::string_view(literal_));
+    case ValueTyping::kNumber: {
+      // Non-numeric node value never satisfies a numeric comparison.
+      const std::optional<double> lhs = ParseDouble(value);
+      if (!lhs.has_value() || !parses_) return false;
+      return Ordered(op, *lhs, number_);
+    }
+    case ValueTyping::kGeneral:
+    case ValueTyping::kGeneralNumber: {
+      Comparand literal;
+      literal.text = literal_;
+      literal.number = number_;
+      literal.parses = parses_;
+      literal.is_number = typing == ValueTyping::kGeneralNumber;
+      // Against a literal that is neither a number nor numeric text the
+      // comparison is bytewise whatever the value is: skip parsing it.
+      Comparand node;
+      if (literal.is_number || literal.parses) {
+        node = Comparand::OfText(value);
+      } else {
+        node.text = value;
+      }
+      return CompareGeneral(op, node, literal);
+    }
   }
   return false;
 }
 
 std::string ValuePredicate::ToString() const {
   std::string out(CompareOpName(op));
-  out += numeric ? " " + literal : " \"" + literal + "\"";
+  out += IsNumberTyped() ? " " + literal_ : " \"" + literal_ + "\"";
+  if (typing == ValueTyping::kGeneral ||
+      typing == ValueTyping::kGeneralNumber) {
+    out += " general";
+  }
   return out;
 }
 

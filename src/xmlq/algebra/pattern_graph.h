@@ -2,6 +2,8 @@
 #define XMLQ_ALGEBRA_PATTERN_GRAPH_H_
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,19 +37,65 @@ enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
 std::string_view CompareOpName(CompareOp op);
 
+/// One operand of a general comparison: its string-value, its number value
+/// (NaN when it has none), whether its text parses as a number, and whether
+/// it is a number item (which makes the comparison numeric whatever the
+/// other side is).
+struct Comparand {
+  std::string_view text;
+  double number = std::numeric_limits<double>::quiet_NaN();
+  bool parses = false;
+  bool is_number = false;
+
+  /// An operand given by its string-value (a node, or a string item).
+  static Comparand OfText(std::string_view text);
+};
+
+/// The engine's one general-comparison rule (XQuery `=`, `<`, ... over one
+/// pair of items). Numeric when either side is a number item or both texts
+/// parse as numbers; then a NaN on either side satisfies only `!=`.
+/// Otherwise the string-values compare bytewise.
+bool CompareGeneral(CompareOp op, const Comparand& a, const Comparand& b);
+
+/// How a ValuePredicate compares a node's string-value with its literal.
+enum class ValueTyping : uint8_t {
+  kString,  // XPath predicate, string literal: bytewise comparison
+  kNumber,  // XPath predicate, number literal: numeric; a value that does
+            // not parse as a number matches no operator, `!=` included
+  kGeneral,        // `where` over a string literal: CompareGeneral
+  kGeneralNumber,  // `where` over a number literal: CompareGeneral
+};
+
 /// One `⟨⊙, l⟩` constraint attached to a vertex: the matched node's
-/// string-value must compare against the literal. If the literal parses as a
-/// number, the comparison is numeric (XPath general-comparison style),
-/// otherwise string equality/ordering.
-struct ValuePredicate {
+/// string-value must compare against the literal under the predicate's
+/// typing. The literal is parsed once, when it is set.
+class ValuePredicate {
+ public:
+  ValuePredicate() = default;
+  ValuePredicate(CompareOp op, std::string literal,
+                 ValueTyping typing = ValueTyping::kString);
+
   CompareOp op = CompareOp::kEq;
-  std::string literal;
-  bool numeric = false;
+  ValueTyping typing = ValueTyping::kString;
+
+  const std::string& literal() const { return literal_; }
+  void set_literal(std::string literal);
+  /// The literal's number value; nullopt when it does not parse.
+  std::optional<double> number() const;
+  bool IsNumberTyped() const {
+    return typing == ValueTyping::kNumber ||
+           typing == ValueTyping::kGeneralNumber;
+  }
 
   /// Evaluates the predicate against a node's string-value.
   bool Eval(std::string_view value) const;
 
   std::string ToString() const;
+
+ private:
+  std::string literal_;
+  double number_ = std::numeric_limits<double>::quiet_NaN();
+  bool parses_ = false;
 };
 
 /// Vertex id inside a PatternGraph.

@@ -1,5 +1,7 @@
 #include "xmlq/algebra/rewrite.h"
 
+#include <algorithm>
+#include <charconv>
 #include <utility>
 
 namespace xmlq::algebra {
@@ -159,7 +161,191 @@ int TryGraftFilter(LogicalExprPtr* expr) {
   return 1;
 }
 
+/// A `where` conjunct R6 folds: the steps from `$var` (none for `$var`
+/// itself) and, unless it is an existence test, a comparison with a literal.
+struct FoldableConjunct {
+  std::string var;
+  std::vector<const LogicalExpr*> steps;  // innermost first
+  const Item* literal = nullptr;          // null for an existence test
+  CompareOp op = CompareOp::kEq;
+};
+
+/// Matches `$var/step/...` over child, descendant and attribute Navigate
+/// steps, an attribute step only last.
+bool MatchVarPath(const LogicalExpr& e, FoldableConjunct* out) {
+  out->steps.clear();
+  const LogicalExpr* cur = &e;
+  while (cur->op == LogicalOp::kNavigate) {
+    const bool attribute_step = cur->axis == Axis::kAttribute;
+    if (cur->is_attribute != attribute_step) return false;
+    if (cur->axis != Axis::kChild && cur->axis != Axis::kDescendant &&
+        !attribute_step) {
+      return false;
+    }
+    // The walk starts at the last step, so only it may be an attribute.
+    if (attribute_step && !out->steps.empty()) return false;
+    out->steps.push_back(cur);
+    cur = cur->children[0].get();
+  }
+  if (cur->op != LogicalOp::kVarRef) return false;
+  out->var = cur->str;
+  std::reverse(out->steps.begin(), out->steps.end());
+  return true;
+}
+
+bool MatchConjunct(const LogicalExpr& e, FoldableConjunct* out) {
+  if (e.op != LogicalOp::kBinary) {
+    return MatchVarPath(e, out) && !out->steps.empty();
+  }
+  const std::optional<CompareOp> op = ComparisonOf(e.binary);
+  const LogicalExpr& literal = *e.children[1];
+  if (!op.has_value() || literal.op != LogicalOp::kLiteral) return false;
+  const Item& value = literal.literal;
+  if (!value.IsString() && !value.IsNumber()) return false;
+  if (!MatchVarPath(*e.children[0], out)) return false;
+  out->literal = &value;
+  out->op = *op;
+  return true;
+}
+
+/// The TreePattern the `for` clause binding `var` before clause
+/// `where_clause` iterates, when it has a sole output vertex; null when the
+/// name is bound by a `let`, outside this FLWOR, more than once in it, or
+/// to anything else.
+LogicalExpr* ForPatternOf(LogicalExpr& flwor, size_t where_clause,
+                          const std::string& var) {
+  const FlworClause* binder = nullptr;
+  for (size_t c = 0; c < where_clause; ++c) {
+    if (flwor.clauses[c].var != var) continue;
+    if (binder != nullptr) return nullptr;  // shadowed
+    binder = &flwor.clauses[c];
+  }
+  if (binder == nullptr || binder->kind != FlworClause::Kind::kFor) {
+    return nullptr;
+  }
+  LogicalExpr& binding = *flwor.children[binder->expr_child];
+  if (binding.op != LogicalOp::kTreePattern || binding.pattern == nullptr) {
+    return nullptr;
+  }
+  const VertexId out = binding.pattern->SoleOutput();
+  if (out == kNoVertex || binding.pattern->vertex(out).is_root) return nullptr;
+  return &binding;
+}
+
+/// The predicate a folded comparison becomes. A number literal is spelled
+/// in its shortest round-trip form, so it parses back to the same double.
+ValuePredicate GeneralPredicate(CompareOp op, const Item& literal) {
+  if (literal.IsString()) {
+    return ValuePredicate(op, literal.str(), ValueTyping::kGeneral);
+  }
+  char buf[64];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), literal.number()).ptr;
+  return ValuePredicate(op, std::string(buf, end), ValueTyping::kGeneralNumber);
+}
+
+/// The TreePattern `conjunct` folds into (and `fold` filled in), or null.
+LogicalExpr* FoldTarget(LogicalExpr& flwor, size_t where_clause,
+                        const LogicalExpr& conjunct, FoldableConjunct* fold) {
+  if (!MatchConjunct(conjunct, fold)) return nullptr;
+  LogicalExpr* target = ForPatternOf(flwor, where_clause, fold->var);
+  if (target == nullptr) return nullptr;
+  const PatternGraph& pattern = *target->pattern;
+  // Attribute vertices have no children to hang a branch from.
+  if (pattern.vertex(pattern.SoleOutput()).is_attribute &&
+      !fold->steps.empty()) {
+    return nullptr;
+  }
+  return target;
+}
+
+bool IsAnd(const LogicalExpr& e) {
+  return e.op == LogicalOp::kBinary && e.binary == BinaryOp::kAnd;
+}
+
+void ListConjuncts(const LogicalExpr& e, std::vector<const LogicalExpr*>* out) {
+  if (!IsAnd(e)) {
+    out->push_back(&e);
+    return;
+  }
+  ListConjuncts(*e.children[0], out);
+  ListConjuncts(*e.children[1], out);
+}
+
+/// Moves the conjunct subtrees of an `and` tree into `out`, in order.
+void TakeConjuncts(LogicalExprPtr e, std::vector<LogicalExprPtr>* out) {
+  if (!IsAnd(*e)) {
+    out->push_back(std::move(e));
+    return;
+  }
+  TakeConjuncts(std::move(e->children[0]), out);
+  TakeConjuncts(std::move(e->children[1]), out);
+}
+
+int TryUnnestWhere(LogicalExprPtr* expr) {
+  LogicalExpr& flwor = **expr;
+  if (flwor.op != LogicalOp::kFlwor) return 0;
+  const auto where = std::find_if(
+      flwor.clauses.begin(), flwor.clauses.end(), [](const FlworClause& c) {
+        return c.kind == FlworClause::Kind::kWhere;
+      });
+  if (where == flwor.clauses.end()) return 0;
+  const size_t where_clause =
+      static_cast<size_t>(where - flwor.clauses.begin());
+  const size_t where_child = where->expr_child;
+
+  // Leave the clause untouched unless some conjunct folds.
+  std::vector<const LogicalExpr*> listed;
+  ListConjuncts(*flwor.children[where_child], &listed);
+  FoldableConjunct fold;
+  if (std::none_of(listed.begin(), listed.end(), [&](const LogicalExpr* c) {
+        return FoldTarget(flwor, where_clause, *c, &fold) != nullptr;
+      })) {
+    return 0;
+  }
+
+  std::vector<LogicalExprPtr> conjuncts;
+  TakeConjuncts(std::move(flwor.children[where_child]), &conjuncts);
+  std::vector<LogicalExprPtr> kept;
+  for (LogicalExprPtr& conjunct : conjuncts) {
+    LogicalExpr* target = FoldTarget(flwor, where_clause, *conjunct, &fold);
+    if (target == nullptr) {
+      kept.push_back(std::move(conjunct));
+      continue;
+    }
+    PatternGraph& pattern = *target->pattern;
+    VertexId at = pattern.SoleOutput();
+    for (const LogicalExpr* step : fold.steps) {
+      at = pattern.AddVertex(at, step->axis,
+                             step->str.empty() ? "*" : step->str,
+                             step->is_attribute);
+    }
+    if (fold.literal != nullptr) {
+      pattern.AddPredicate(at, GeneralPredicate(fold.op, *fold.literal));
+    }
+  }
+  const int folded = static_cast<int>(conjuncts.size() - kept.size());
+  if (!kept.empty()) {
+    LogicalExprPtr rest = std::move(kept[0]);
+    for (size_t i = 1; i < kept.size(); ++i) {
+      rest = MakeBinary(BinaryOp::kAnd, std::move(rest), std::move(kept[i]));
+    }
+    flwor.children[where_child] = std::move(rest);
+    return folded;
+  }
+  flwor.clauses.erase(where);
+  flwor.children.erase(flwor.children.begin() +
+                       static_cast<std::ptrdiff_t>(where_child));
+  for (FlworClause& clause : flwor.clauses) {
+    if (clause.expr_child > where_child) --clause.expr_child;
+  }
+  return folded;
+}
+
 }  // namespace
+
+int UnnestWhereConjuncts(LogicalExprPtr* expr) {
+  return WalkRewrite(expr, TryUnnestWhere);
+}
 
 int GraftPatternFilters(LogicalExprPtr* expr) {
   return WalkRewrite(expr, TryGraftFilter);
@@ -195,6 +381,7 @@ int ApplyAllRewrites(LogicalExprPtr* expr) {
     round += PushSelectValueIntoPattern(expr);
     round += GraftPatternFilters(expr);
     round += RemoveRedundantDocOrderDedup(expr);
+    round += UnnestWhereConjuncts(expr);
     if (round == 0) break;
     total += round;
   }

@@ -41,6 +41,18 @@ int FuseSelectTagIntoNavigate(LogicalExprPtr* expr);
 /// matcher checks them during the scan.
 int GraftPatternFilters(LogicalExprPtr* expr);
 
+/// R6 — `where` unnesting: a `where` conjunct that names one `for`
+/// variable `$x`, bound to a TreePattern with a sole output vertex, moves
+/// into that pattern as a filter branch on the output vertex. Foldable
+/// conjuncts are `$x/path ⊙ literal`, `$x ⊙ literal` and the existence
+/// test `$x/path`, where `path` is child,
+/// descendant and attribute steps (an attribute step only last). The
+/// comparison becomes a general-typed ValuePredicate, which evaluates
+/// exactly like the per-tuple comparison it replaces. `and` splits into
+/// conjuncts; every other conjunct stays in the clause, and a clause left
+/// empty is deleted.
+int UnnestWhereConjuncts(LogicalExprPtr* expr);
+
 /// Applies all rules to a fixpoint; returns total rule applications.
 int ApplyAllRewrites(LogicalExprPtr* expr);
 

@@ -27,9 +27,14 @@ void WalkPlan(Expr& expr, const Fn& fn) {
   }
 }
 
+/// Number slots match number-typed predicates by value: an unnested
+/// `where` conjunct spells its number literal from the parsed double, so
+/// the sentinel's text need not survive the rewrite.
 bool SlotMatchesPredicate(const BindSlot& slot,
                           const algebra::ValuePredicate& pred) {
-  return pred.numeric == slot.numeric && pred.literal == slot.sentinel;
+  if (pred.IsNumberTyped() != slot.numeric) return false;
+  if (slot.numeric) return pred.number() == slot.sentinel_number;
+  return pred.literal() == slot.sentinel;
 }
 
 bool SlotMatchesItem(const BindSlot& slot, const algebra::Item& item) {
@@ -159,14 +164,6 @@ void PlanCache::InvalidateGeneration(uint64_t live_generation) {
   }
 }
 
-void PlanCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    while (!shard.lru.empty()) EraseLocked(shard, shard.lru.begin());
-  }
-}
-
 CacheStats PlanCache::Stats() const {
   CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -219,7 +216,7 @@ algebra::LogicalExprPtr BindPlan(const algebra::LogicalExpr& tmpl,
       const BindSlot& slot = slots[i];
       if (e.op == algebra::LogicalOp::kSelectValue &&
           SlotMatchesPredicate(slot, e.predicate)) {
-        e.predicate.literal = values[i];
+        e.predicate.set_literal(values[i]);
       }
       if (e.op == algebra::LogicalOp::kLiteral &&
           SlotMatchesItem(slot, e.literal)) {
@@ -232,7 +229,7 @@ algebra::LogicalExprPtr BindPlan(const algebra::LogicalExpr& tmpl,
           for (auto& pred : e.pattern->mutable_vertex(
                                 static_cast<algebra::VertexId>(v))
                                 .predicates) {
-            if (SlotMatchesPredicate(slot, pred)) pred.literal = values[i];
+            if (SlotMatchesPredicate(slot, pred)) pred.set_literal(values[i]);
           }
         }
       }
@@ -245,7 +242,7 @@ size_t PlanFootprint(const algebra::LogicalExpr& plan) {
   size_t bytes = 0;
   WalkPlan(plan, [&](const algebra::LogicalExpr& e) {
     bytes += sizeof(algebra::LogicalExpr);
-    bytes += e.str.capacity() + e.predicate.literal.capacity();
+    bytes += e.str.capacity() + e.predicate.literal().capacity();
     bytes += e.clauses.capacity() * sizeof(algebra::FlworClause);
     if (e.pattern) {
       bytes += sizeof(algebra::PatternGraph);
@@ -253,7 +250,7 @@ size_t PlanFootprint(const algebra::LogicalExpr& plan) {
         const auto& vertex = e.pattern->vertex(v);
         bytes += sizeof(vertex) + vertex.label.capacity();
         for (const auto& pred : vertex.predicates) {
-          bytes += sizeof(pred) + pred.literal.capacity();
+          bytes += sizeof(pred) + pred.literal().capacity();
         }
       }
     }

@@ -102,9 +102,6 @@ class PlanCache {
   /// generation check in Lookup already fences), it just frees memory.
   void InvalidateGeneration(uint64_t live_generation);
 
-  /// Drops everything (SetPlanCache reconfiguration).
-  void Clear();
-
   void RecordBypass() { bypass_.fetch_add(1, std::memory_order_relaxed); }
 
   CacheStats Stats() const;

@@ -345,30 +345,26 @@ Result<Sequence> Executor::EvalValueJoin(const LogicalExpr& expr,
   const ResourceGuard* guard = context_->guard;
   OpStats* stats = StatsFor(expr);
   XMLQ_GUARD_TICK(guard, right.size());
-  std::vector<std::string> right_values;
-  right_values.reserve(right.size());
+  // One predicate per right item, each literal parsed once.
+  std::vector<algebra::ValuePredicate> right_preds;
+  right_preds.reserve(right.size());
   for (const Item& item : right) {
-    right_values.push_back(item.StringValue());
-    if (stats != nullptr) stats->bytes_touched += right_values.back().size();
+    right_preds.emplace_back(expr.predicate.op, item.StringValue(),
+                             expr.predicate.typing);
+    if (stats != nullptr) {
+      stats->bytes_touched += right_preds.back().literal().size();
+    }
   }
   Sequence result;
   for (const Item& item : left) {
     // The nested-loop comparison is the engine's only quadratic operator;
     // charge its true per-row cost so small step budgets bite here.
-    XMLQ_GUARD_TICK(guard, right_values.size() + 1);
-    algebra::ValuePredicate pred;
-    pred.op = expr.predicate.op;
-    pred.numeric = expr.predicate.numeric;
+    XMLQ_GUARD_TICK(guard, right_preds.size() + 1);
     const std::string value = item.StringValue();
     if (stats != nullptr) stats->bytes_touched += value.size();
-    bool matched = false;
-    for (const std::string& rv : right_values) {
-      pred.literal = rv;
-      if (pred.Eval(value)) {
-        matched = true;
-        break;
-      }
-    }
+    const bool matched = std::any_of(
+        right_preds.begin(), right_preds.end(),
+        [&](const algebra::ValuePredicate& pred) { return pred.Eval(value); });
     if (matched) result.push_back(item);
   }
   return result;

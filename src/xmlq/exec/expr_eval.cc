@@ -22,65 +22,32 @@ using algebra::Sequence;
 
 namespace {
 
-bool IsComparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
+/// The comparand of one item; `text` keeps a node's or string's
+/// string-value alive while the comparand points at it.
+algebra::Comparand ComparandOf(const Item& item, std::string* text) {
+  if (item.IsNumber()) {
+    algebra::Comparand c;
+    c.number = item.number();
+    c.is_number = true;
+    return c;
   }
+  if (item.IsBool()) {
+    algebra::Comparand c;
+    c.text = item.boolean() ? "true" : "false";
+    c.number = item.boolean() ? 1.0 : 0.0;
+    return c;
+  }
+  *text = item.StringValue();
+  return algebra::Comparand::OfText(*text);
 }
 
-/// XPath 1.0-style comparison of two items: numeric when either side is a
-/// number (or both parse as numbers), string otherwise.
-bool CompareItems(BinaryOp op, const Item& a, const Item& b) {
-  const bool numeric = a.IsNumber() || b.IsNumber() ||
-                       (ParseDouble(a.StringValue()).has_value() &&
-                        ParseDouble(b.StringValue()).has_value());
-  if (numeric) {
-    const double x = a.NumberValue();
-    const double y = b.NumberValue();
-    if (std::isnan(x) || std::isnan(y)) return op == BinaryOp::kNe;
-    switch (op) {
-      case BinaryOp::kEq:
-        return x == y;
-      case BinaryOp::kNe:
-        return x != y;
-      case BinaryOp::kLt:
-        return x < y;
-      case BinaryOp::kLe:
-        return x <= y;
-      case BinaryOp::kGt:
-        return x > y;
-      case BinaryOp::kGe:
-        return x >= y;
-      default:
-        return false;
-    }
-  }
-  const std::string x = a.StringValue();
-  const std::string y = b.StringValue();
-  switch (op) {
-    case BinaryOp::kEq:
-      return x == y;
-    case BinaryOp::kNe:
-      return x != y;
-    case BinaryOp::kLt:
-      return x < y;
-    case BinaryOp::kLe:
-      return x <= y;
-    case BinaryOp::kGt:
-      return x > y;
-    case BinaryOp::kGe:
-      return x >= y;
-    default:
-      return false;
-  }
+/// General comparison of two items (algebra::CompareGeneral, the rule the
+/// pattern predicates of unnested `where` conjuncts share).
+bool CompareItems(algebra::CompareOp op, const Item& a, const Item& b) {
+  std::string a_text;
+  std::string b_text;
+  return algebra::CompareGeneral(op, ComparandOf(a, &a_text),
+                                 ComparandOf(b, &b_text));
 }
 
 /// Effective boolean value of a sequence.
@@ -119,13 +86,14 @@ Result<Sequence> Executor::EvalBinary(const LogicalExpr& expr,
   XMLQ_ASSIGN_OR_RETURN(Sequence left, Eval(*expr.children[0], scope, out));
   XMLQ_ASSIGN_OR_RETURN(Sequence right, Eval(*expr.children[1], scope, out));
 
-  if (IsComparison(expr.binary)) {
+  if (const std::optional<algebra::CompareOp> op =
+          algebra::ComparisonOf(expr.binary)) {
     // General comparison: existential over both sequences (quadratic, so
     // charge one step per pair probed).
     for (const Item& a : left) {
       XMLQ_GUARD_TICK(context_->guard, right.size() + 1);
       for (const Item& b : right) {
-        if (CompareItems(expr.binary, a, b)) return Sequence{Item(true)};
+        if (CompareItems(*op, a, b)) return Sequence{Item(true)};
       }
     }
     return Sequence{Item(false)};

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "xmlq/base/strings.h"
-
 namespace xmlq::opt {
 
 namespace {
@@ -44,13 +42,18 @@ void CollectDescendants(const Synopsis& synopsis, uint32_t from,
 double CountMatches(const storage::ValueIndex& values, xml::NameId name,
                     bool attribute, const algebra::ValuePredicate& pred,
                     double population) {
-  if (!pred.numeric) {
-    const auto equal = values.CountEqual(name, pred.literal, attribute);
+  // A general-typed predicate compares numerically against a number or
+  // numeric text and bytewise otherwise; count it the same way.
+  const std::optional<double> v = pred.number();
+  const bool by_number =
+      pred.IsNumberTyped() ||
+      (pred.typing == algebra::ValueTyping::kGeneral && v.has_value());
+  if (!by_number) {
+    const auto equal = values.CountEqual(name, pred.literal(), attribute);
     if (pred.op == CompareOp::kEq) return static_cast<double>(equal);
     return pred.op == CompareOp::kNe ? population - static_cast<double>(equal)
                                      : population * kUnindexedSelectivity;
   }
-  const std::optional<double> v = ParseDouble(pred.literal);
   if (!v.has_value()) return 0;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto range = [&](double lo, bool lo_in, double hi, bool hi_in) {

@@ -11,6 +11,13 @@ using algebra::PatternGraph;
 using algebra::ValuePredicate;
 using algebra::VertexId;
 
+/// The XPath predicate a `⊙ literal` comparison compiles to.
+ValuePredicate PredicateOf(const PredAst& pred) {
+  return ValuePredicate(pred.op, pred.literal,
+                        pred.numeric ? algebra::ValueTyping::kNumber
+                                     : algebra::ValueTyping::kString);
+}
+
 /// Adds the vertices for one step (and its predicates) under `parent`;
 /// returns the new step vertex.
 Result<VertexId> AddStep(PatternGraph* graph, VertexId parent,
@@ -21,8 +28,7 @@ Status AddPredicates(PatternGraph* graph, VertexId vertex,
   for (const PredAst& pred : predicates) {
     if (pred.path.empty()) {
       // `. ⊙ literal` — constraint on the step vertex itself.
-      graph->AddPredicate(vertex, ValuePredicate{pred.op, pred.literal,
-                                                 pred.numeric});
+      graph->AddPredicate(vertex, PredicateOf(pred));
       continue;
     }
     VertexId cur = vertex;
@@ -30,8 +36,7 @@ Status AddPredicates(PatternGraph* graph, VertexId vertex,
       XMLQ_ASSIGN_OR_RETURN(cur, AddStep(graph, cur, step));
     }
     if (pred.has_comparison) {
-      graph->AddPredicate(cur, ValuePredicate{pred.op, pred.literal,
-                                              pred.numeric});
+      graph->AddPredicate(cur, PredicateOf(pred));
     }
   }
   return Status::Ok();
@@ -82,9 +87,7 @@ Result<algebra::LogicalExprPtr> CompileToNavigationChain(
             "navigation-chain form cannot express structural predicates; "
             "use CompileToPattern");
       }
-      plan = algebra::MakeSelectValue(
-          std::move(plan),
-          ValuePredicate{pred.op, pred.literal, pred.numeric});
+      plan = algebra::MakeSelectValue(std::move(plan), PredicateOf(pred));
     }
     if (step.axis == Axis::kDescendant) {
       // `//` can reach the same node along several paths; the naive chain

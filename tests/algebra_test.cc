@@ -73,15 +73,30 @@ TEST(NestedListTest, FlattenAndSize) {
 }
 
 TEST(ValuePredicateTest, StringAndNumericComparison) {
-  ValuePredicate eq{CompareOp::kEq, "abc", false};
+  ValuePredicate eq{CompareOp::kEq, "abc", ValueTyping::kString};
   EXPECT_TRUE(eq.Eval("abc"));
   EXPECT_FALSE(eq.Eval("abd"));
-  ValuePredicate lt{CompareOp::kLt, "10", true};
+  ValuePredicate lt{CompareOp::kLt, "10", ValueTyping::kNumber};
   EXPECT_TRUE(lt.Eval("9.5"));
   EXPECT_FALSE(lt.Eval("10"));
   EXPECT_FALSE(lt.Eval("abc"));  // non-numeric never matches numeric compare
-  ValuePredicate ge{CompareOp::kGe, "2", true};
+  ValuePredicate ge{CompareOp::kGe, "2", ValueTyping::kNumber};
   EXPECT_TRUE(ge.Eval("10"));  // numeric, not lexicographic
+  // General typings: numeric when both texts parse (or the literal is a
+  // number), and then a NaN satisfies only !=.
+  ValuePredicate general{CompareOp::kEq, "1990", ValueTyping::kGeneral};
+  EXPECT_TRUE(general.Eval(" 1990"));
+  EXPECT_TRUE(general.Eval("1990.0"));
+  EXPECT_FALSE(general.Eval("x"));
+  ValuePredicate ne{CompareOp::kNe, "1990", ValueTyping::kGeneralNumber};
+  EXPECT_TRUE(ne.Eval("x"));
+  EXPECT_FALSE(ne.Eval("1990.0"));
+  ValuePredicate xpath_ne{CompareOp::kNe, "1990", ValueTyping::kNumber};
+  EXPECT_FALSE(xpath_ne.Eval("x"));
+  ValuePredicate gt_string{CompareOp::kGt, "a", ValueTyping::kGeneral};
+  EXPECT_TRUE(gt_string.Eval("x"));
+  ValuePredicate gt_number{CompareOp::kGt, "1000", ValueTyping::kGeneralNumber};
+  EXPECT_FALSE(gt_number.Eval("x"));
 }
 
 TEST(PatternGraphTest, BuildAndValidate) {
@@ -211,12 +226,12 @@ TEST(RewriteTest, FoldsNavigationChainIntoPattern) {
 TEST(RewriteTest, PushesSelectValueIntoPattern) {
   LogicalExprPtr plan = MakeSelectValue(
       MakeNavigate(MakeDocScan("d"), Axis::kChild, "price", false),
-      ValuePredicate{CompareOp::kLt, "50", true});
+      ValuePredicate{CompareOp::kLt, "50", ValueTyping::kNumber});
   ApplyAllRewrites(&plan);
   ASSERT_EQ(plan->op, LogicalOp::kTreePattern);
   const VertexId out = plan->pattern->SoleOutput();
   ASSERT_EQ(plan->pattern->vertex(out).predicates.size(), 1u);
-  EXPECT_EQ(plan->pattern->vertex(out).predicates[0].literal, "50");
+  EXPECT_EQ(plan->pattern->vertex(out).predicates[0].literal(), "50");
 }
 
 TEST(RewriteTest, RemovesRedundantDedupAndFusesSelectTag) {

@@ -22,6 +22,7 @@ using algebra::Axis;
 using algebra::CompareOp;
 using algebra::PatternGraph;
 using algebra::ValuePredicate;
+using algebra::ValueTyping;
 using algebra::VertexId;
 
 /// Bundles a document with all physical views for the matchers.
@@ -246,7 +247,7 @@ PatternGraph RandomPattern(Rng* rng) {
         graph.AddPredicate(attr,
                            ValuePredicate{CompareOp::kLt,
                                           std::to_string(rng->Below(50)),
-                                          true});
+                                          ValueTyping::kNumber});
       }
       continue;
     }
@@ -260,7 +261,7 @@ PatternGraph RandomPattern(Rng* rng) {
       const CompareOp op = rng->Chance(0.5) ? CompareOp::kEq : CompareOp::kGe;
       graph.AddPredicate(cur, ValuePredicate{op,
                                              std::to_string(rng->Below(100)),
-                                             true});
+                                             ValueTyping::kNumber});
     }
   }
   graph.SetOutput(spine_vertices[rng->Below(spine_vertices.size())]);

@@ -1,9 +1,9 @@
-// The 54-query cross-engine oracle workload, shared by the differential
-// suite (every τ engine must agree byte-for-byte) and the replication suite
-// (a caught-up follower must answer every one of these byte-identically to
-// its primary). Keeping one definition ensures "the oracle" means the same
-// thing in both places — a follower that passes it serves exactly what the
-// primary serves.
+// The 74-query cross-engine oracle workload, shared by the differential
+// suites (every τ engine must agree byte-for-byte, and rewrites on must
+// agree with rewrites off) and the replication suite (a caught-up follower
+// must answer every one of these byte-identically to its primary). Keeping
+// one definition ensures "the oracle" means the same thing in every place —
+// a follower that passes it serves exactly what the primary serves.
 
 #ifndef XMLQ_TESTS_ORACLE_QUERIES_H_
 #define XMLQ_TESTS_ORACLE_QUERIES_H_
@@ -84,6 +84,60 @@ inline constexpr const char* kRandomTreeXPaths[] = {
     "//t2/t3/t4",
     "//t0[t2]//t1",
     "//t4[@a2][t0]",
+};
+
+/// A FLWOR whose `where` clause unnests into τ predicates (rewrite R6) and
+/// the predicate path that must give the same bytes. The values compare
+/// the same under the XPath predicate typing and under general comparison
+/// (DESIGN.md, rewrite R6), so the pairs agree. `keeps_where`: a conjunct R6
+/// cannot fold stays per-tuple.
+struct FlworPredicatePair {
+  const char* flwor;
+  const char* predicate;
+  bool keeps_where = false;
+};
+
+/// FLWOR/predicate pairs over the auction document and a bibliography
+/// registered as "bib.xml" (ids b0.., years 1985-2004, prices 10-150).
+/// 10 pairs, 20 queries.
+inline constexpr FlworPredicatePair kFlworPredicatePairs[] = {
+    // The store_rw and point_mix point-lookup shapes.
+    {"for $b in doc(\"bib.xml\")//book where $b/@id = 'b7' "
+     "return $b/author",
+     "doc(\"bib.xml\")//book[@id = 'b7']/author"},
+    {"for $p in doc(\"auction.xml\")//person where $p/@id = 'person3' "
+     "return $p/emailaddress",
+     "doc(\"auction.xml\")//person[@id = 'person3']/emailaddress"},
+    // The integration_test shapes; exists() stays a per-tuple conjunct.
+    {"for $a in doc(\"auction.xml\")//open_auction "
+     "where $a/current > 150 and exists($a/bidder) return $a/current",
+     "doc(\"auction.xml\")//open_auction[current > 150][bidder]/current",
+     true},
+    {"for $p in doc(\"auction.xml\")//person "
+     "where $p/profile/education = 'Graduate School' return $p/name",
+     "doc(\"auction.xml\")//person[profile/education = 'Graduate School']"
+     "/name"},
+    {"count(for $i in doc(\"auction.xml\")//item "
+     "where $i/payment = 'Cash' return $i)",
+     "count(doc(\"auction.xml\")//item[payment = 'Cash'])"},
+    // A number-literal range.
+    {"for $b in doc(\"bib.xml\")//book "
+     "where $b/price >= 30 and $b/price < 80 return $b/title",
+     "doc(\"bib.xml\")//book[price >= 30][price < 80]/title"},
+    // Existence conjuncts, one through a descendant step.
+    {"for $p in doc(\"auction.xml\")//person "
+     "where $p/address/city and $p/phone return $p/name",
+     "doc(\"auction.xml\")//person[address/city][phone]/name"},
+    {"for $i in doc(\"auction.xml\")//item "
+     "where $i//mail/from return $i/name",
+     "doc(\"auction.xml\")//item[mailbox/mail/from]/name"},
+    // The bound item itself compared, and a numeric attribute.
+    {"for $c in doc(\"auction.xml\")//closed_auction/price "
+     "where $c > 100 return $c",
+     "doc(\"auction.xml\")//closed_auction/price[. > 100]"},
+    {"for $b in doc(\"bib.xml\")//book where $b/@year <= 1990 "
+     "return $b/title",
+     "doc(\"bib.xml\")//book[@year <= 1990]/title"},
 };
 
 }  // namespace xmlq::tests

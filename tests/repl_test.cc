@@ -1,6 +1,6 @@
 // Replication & follower serving (DESIGN.md §13): payload codecs against
 // hostile bytes, the staleness gate, follower read-only enforcement, full
-// primary->follower convergence proven by the shared 54-query oracle, live
+// primary->follower convergence proven by the shared 74-query oracle, live
 // catch-up and census-driven removal, the interleaved-frame client demux,
 // a chaos matrix over every repl.* and net.* fault site (convergence once
 // faults clear, zero fd leaks), divergence quarantine (degrade, never
@@ -383,7 +383,7 @@ TEST_F(ReplEndToEndTest, FollowerConvergesAndServesOracleByteIdentically) {
   ASSERT_TRUE(WaitFor([&] { return Converged(); }))
       << follower_->stats().ToString();
 
-  // The acceptance oracle: all 54 shared queries, byte-identical.
+  // The acceptance oracle: all 74 shared queries, byte-identical.
   for (const char* path : tests::kAuctionXPaths) {
     auto want = primary_db_->QueryPath(path, "auction.xml");
     auto got = follower_db_->QueryPath(path, "auction.xml");
@@ -400,7 +400,13 @@ TEST_F(ReplEndToEndTest, FollowerConvergesAndServesOracleByteIdentically) {
     ASSERT_TRUE(got.ok()) << path;
     EXPECT_EQ(Database::ToXml(*got), Database::ToXml(*want)) << path;
   }
-  for (const char* query : tests::kAuctionXQueries) {
+  std::vector<const char*> queries(std::begin(tests::kAuctionXQueries),
+                                   std::end(tests::kAuctionXQueries));
+  for (const tests::FlworPredicatePair& pair : tests::kFlworPredicatePairs) {
+    queries.push_back(pair.flwor);
+    queries.push_back(pair.predicate);
+  }
+  for (const char* query : queries) {
     auto want = primary_db_->Query(query);
     auto got = follower_db_->Query(query);
     ASSERT_TRUE(want.ok()) << query;

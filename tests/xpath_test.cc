@@ -114,7 +114,7 @@ TEST(CompilerTest, BuildsTwigFromPredicates) {
   for (algebra::VertexId v = 0; v < graph->VertexCount(); ++v) {
     if (graph->vertex(v).label == "last") {
       ASSERT_EQ(graph->vertex(v).predicates.size(), 1u);
-      EXPECT_EQ(graph->vertex(v).predicates[0].literal, "Stevens");
+      EXPECT_EQ(graph->vertex(v).predicates[0].literal(), "Stevens");
       found = true;
     }
   }

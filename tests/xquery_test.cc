@@ -187,11 +187,27 @@ TEST(TranslateTest, FlworShape) {
       "for $b in //book where $b/price > 50 return $b/title", options);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_EQ((*plan)->op, LogicalOp::kFlwor);
-  ASSERT_EQ((*plan)->clauses.size(), 2u);
+  // R6 folded the where clause into the for-binding's pattern, so only
+  // the for clause is left.
+  ASSERT_EQ((*plan)->clauses.size(), 1u);
   // The for-binding expression folded into a TreePattern.
   const auto& for_expr =
       *(*plan)->children[(*plan)->clauses[0].expr_child];
-  EXPECT_EQ(for_expr.op, LogicalOp::kTreePattern);
+  ASSERT_EQ(for_expr.op, LogicalOp::kTreePattern);
+  // The conjunct is a price branch under the output vertex, carrying a
+  // general-typed number predicate.
+  const algebra::PatternGraph& pattern = *for_expr.pattern;
+  const algebra::PatternVertex& book = pattern.vertex(pattern.SoleOutput());
+  EXPECT_EQ(book.label, "book");
+  ASSERT_EQ(book.children.size(), 1u);
+  const algebra::PatternVertex& price = pattern.vertex(book.children[0]);
+  EXPECT_EQ(price.label, "price");
+  EXPECT_EQ(price.incoming_axis, algebra::Axis::kChild);
+  ASSERT_EQ(price.predicates.size(), 1u);
+  EXPECT_EQ(price.predicates[0].op, algebra::CompareOp::kGt);
+  EXPECT_EQ(price.predicates[0].typing, algebra::ValueTyping::kGeneralNumber);
+  EXPECT_EQ(price.predicates[0].literal(), "50");
+  ASSERT_EQ((*plan)->children.size(), 2u);
   // The return expression navigates from $b.
   const auto& ret = *(*plan)->children.back();
   EXPECT_EQ(ret.op, LogicalOp::kNavigate);
