@@ -133,6 +133,31 @@ bool ValuePredicate::Eval(std::string_view value) const {
   return false;
 }
 
+IndexSeek IndexSeekFor(const ValuePredicate& pred) {
+  IndexSeek seek;
+  if (pred.op == CompareOp::kNe) return seek;
+  const bool numeric =
+      pred.IsNumberTyped() || (pred.typing == ValueTyping::kGeneral &&
+                               pred.number().has_value());
+  if (!numeric) {  // bytewise: only `=` has a run
+    if (pred.op == CompareOp::kEq) seek.kind = IndexSeek::Kind::kText;
+    return seek;
+  }
+  // Against numeric text, a `where` comparison is bytewise for values that
+  // do not parse. Such a value can only differ from the literal, so `=`
+  // alone is answered by the numeric run.
+  if (!pred.IsNumberTyped() && pred.op != CompareOp::kEq) return seek;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double v =
+      pred.number().value_or(std::numeric_limits<double>::quiet_NaN());
+  seek.kind = IndexSeek::Kind::kNumeric;
+  seek.lo = pred.op == CompareOp::kLt || pred.op == CompareOp::kLe ? -kInf : v;
+  seek.hi = pred.op == CompareOp::kGt || pred.op == CompareOp::kGe ? kInf : v;
+  seek.lo_inclusive = pred.op != CompareOp::kGt;
+  seek.hi_inclusive = pred.op != CompareOp::kLt;
+  return seek;
+}
+
 std::string ValuePredicate::ToString() const {
   std::string out(CompareOpName(op));
   out += IsNumberTyped() ? " " + literal_ : " \"" + literal_ + "\"";

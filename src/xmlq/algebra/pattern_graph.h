@@ -98,6 +98,26 @@ class ValuePredicate {
   bool parses_ = false;
 };
 
+/// How the value index answers one predicate exactly, if it can. kText:
+/// the matching nodes are the run entries whose text equals the literal.
+/// kNumeric: they are the numeric-run entries inside the bounds (a NaN
+/// bound selects nothing, and neither does a literal that does not parse
+/// under number typing). kNone: the index cannot answer it (`!=`, ordered
+/// string comparisons, and ordered general comparisons against numeric
+/// text, which compare bytewise with values that do not parse).
+struct IndexSeek {
+  enum class Kind : uint8_t { kNone, kText, kNumeric };
+  Kind kind = Kind::kNone;
+  double lo = 0;
+  double hi = 0;
+  bool lo_inclusive = true;
+  bool hi_inclusive = true;
+};
+
+/// The one seeding rule, shared by the join engines' stream builder and
+/// the cost model (DESIGN.md §4, "Value-index seeding").
+IndexSeek IndexSeekFor(const ValuePredicate& pred);
+
 /// Vertex id inside a PatternGraph.
 using VertexId = uint32_t;
 inline constexpr VertexId kNoVertex = UINT32_MAX;

@@ -49,12 +49,9 @@ Result<NodeList> PathStackMatch(const IndexedDocument& doc,
     return Status::Internal("injected fault: exec.pathstack.match");
   }
   XMLQ_ASSIGN_OR_RETURN(const VertexId output, ValidatePathPattern(pattern));
+  XMLQ_ASSIGN_OR_RETURN(const std::vector<std::vector<Region>> streams,
+                        BuildPatternStreams(doc, pattern, guard, stats));
   const size_t k = pattern.VertexCount();
-  std::vector<std::vector<Region>> streams(k);
-  for (VertexId v = 0; v < k; ++v) {
-    XMLQ_ASSIGN_OR_RETURN(streams[v],
-                          BuildVertexStream(doc, pattern.vertex(v), stats));
-  }
   std::vector<size_t> cursors(k, 0);
   std::vector<std::vector<Region>> stacks(k);
   std::vector<std::vector<JoinPair>> pairs(k);

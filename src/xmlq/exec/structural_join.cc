@@ -1,5 +1,6 @@
 #include "xmlq/exec/structural_join.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "xmlq/base/fault_injector.h"
@@ -64,6 +65,19 @@ void StackTreeMerge(std::span<const Region> ancestors,
   }
 }
 
+/// The region-index stream of a non-root vertex's tag (the whole element or
+/// attribute population for `*`).
+std::span<const Region> TagStream(const IndexedDocument& doc,
+                                  const algebra::PatternVertex& vertex) {
+  const storage::RegionIndex& idx = *doc.regions;
+  if (vertex.label == "*") {
+    return vertex.is_attribute ? idx.attributes() : idx.elements();
+  }
+  const xml::NameId name = doc.dom->pool().Find(vertex.label);
+  return vertex.is_attribute ? idx.AttributeStream(name)
+                             : idx.ElementStream(name);
+}
+
 }  // namespace
 
 std::vector<JoinPair> StructuralJoinPairs(std::span<const Region> ancestors,
@@ -119,16 +133,7 @@ Result<std::vector<Region>> BuildVertexStream(
     if (stats != nullptr) ++stats->index_probes;
     return stream;
   }
-  std::span<const Region> source;
-  if (vertex.is_attribute) {
-    source = vertex.label == "*"
-                 ? std::span<const Region>(idx.attributes())
-                 : idx.AttributeStream(doc.dom->pool().Find(vertex.label));
-  } else {
-    source = vertex.label == "*"
-                 ? std::span<const Region>(idx.elements())
-                 : idx.ElementStream(doc.dom->pool().Find(vertex.label));
-  }
+  const std::span<const Region> source = TagStream(doc, vertex);
   if (stats != nullptr) stats->index_probes += source.size();
   if (vertex.predicates.empty()) {
     stream.assign(source.begin(), source.end());
@@ -140,6 +145,235 @@ Result<std::vector<Region>> BuildVertexStream(
     }
   }
   return stream;
+}
+
+namespace {
+
+using algebra::Axis;
+using algebra::IndexSeek;
+using algebra::PatternGraph;
+using algebra::PatternVertex;
+using algebra::VertexId;
+
+/// Builds seeded streams. Counters and guard ticks follow
+/// BuildPatternStreams' contract.
+class SeededStreams {
+ public:
+  SeededStreams(const IndexedDocument& doc, const PatternGraph& pattern,
+                const ResourceGuard* guard, OpStats* stats)
+      : doc_(doc), pattern_(pattern), guard_(guard), stats_(stats) {}
+
+  Result<std::vector<std::vector<Region>>> Build(const StreamSeed& seed) {
+    auto streams = Streams(seed);
+    // Committed on a guard trip too, like every engine's counters.
+    if (stats_ != nullptr) stats_->index_probes += probes_;
+    return streams;
+  }
+
+ private:
+  Result<std::vector<std::vector<Region>>> Streams(const StreamSeed& seed) {
+    const size_t k = pattern_.VertexCount();
+    std::vector<std::vector<Region>> streams(k);
+    std::vector<char> built(k, 0);
+    // The seed: its index hits, each checked against the vertex again.
+    const PatternVertex& vertex = pattern_.vertex(seed.vertex);
+    const std::vector<xml::NodeId> hits =
+        seed.seek.kind == IndexSeek::Kind::kText
+            ? doc_.values->Lookup(seed.name,
+                                  vertex.predicates[seed.predicate].literal(),
+                                  vertex.is_attribute)
+            : doc_.values->LookupNumericRange(
+                  seed.name, seed.seek.lo, seed.seek.lo_inclusive,
+                  seed.seek.hi, seed.seek.hi_inclusive, vertex.is_attribute);
+    for (const xml::NodeId hit : hits) {
+      XMLQ_GUARD_TICK(guard_, 1);
+      Keep(vertex, hit, &streams[seed.vertex]);
+    }
+    built[seed.vertex] = 1;
+    // Upward: the seed's ancestors in the pattern, below the root.
+    for (VertexId v = seed.vertex; pattern_.vertex(v).parent != pattern_.root();
+         v = pattern_.vertex(v).parent) {
+      const VertexId p = pattern_.vertex(v).parent;
+      XMLQ_ASSIGN_OR_RETURN(
+          streams[p],
+          Above(streams[v],
+                pattern_.vertex(v).incoming_axis == Axis::kDescendant,
+                pattern_.vertex(p)));
+      built[p] = 1;
+    }
+    streams[pattern_.root()].push_back(doc_.regions->DocumentRegion());
+    ++probes_;
+    built[pattern_.root()] = 1;
+    // Downward: every other vertex, parents first.
+    for (VertexId v = 0; v < k; ++v) {
+      if (built[v]) continue;
+      XMLQ_ASSIGN_OR_RETURN(
+          streams[v], Inside(streams[pattern_.vertex(v).parent], v));
+    }
+    return streams;
+  }
+
+  /// Appends `node`'s region to `out` when it passes the vertex's node test
+  /// and predicates.
+  void Keep(const PatternVertex& vertex, xml::NodeId node,
+            std::vector<Region>* out) {
+    const xml::Document& dom = *doc_.dom;
+    if (!MatchesNodeTest(vertex, dom, node)) return;
+    ++probes_;
+    if (EvalVertexPredicates(vertex, dom, node, stats_)) {
+      out->push_back(doc_.regions->RegionOf(node, dom.Name(node)));
+    }
+  }
+
+  /// Candidates of `vertex` from the stream of the pattern vertex below it:
+  /// their parents, or every ancestor across a descendant arc.
+  Result<std::vector<Region>> Above(const std::vector<Region>& below,
+                                    bool descendant,
+                                    const PatternVertex& vertex) {
+    const xml::Document& dom = *doc_.dom;
+    std::vector<xml::NodeId> candidates;
+    if (!descendant) {
+      for (const Region& r : below) candidates.push_back(dom.Parent(r.start));
+      Normalize(&candidates);
+    } else {
+      // The ancestors `below[i]` shares with `below[i - 1]` are exactly
+      // those containing `below[i - 1]`, and all were collected already;
+      // the new ones start after every collected one, so each segment,
+      // reversed, extends a sorted list.
+      for (size_t i = 0; i < below.size(); ++i) {
+        const size_t from = candidates.size();
+        for (xml::NodeId a = dom.Parent(below[i].start);
+             a != xml::kNullNode && a != dom.root(); a = dom.Parent(a)) {
+          if (i > 0 && doc_.regions->RegionOf(a).Contains(below[i - 1])) {
+            break;
+          }
+          candidates.push_back(a);
+        }
+        std::reverse(candidates.begin() + from, candidates.end());
+      }
+    }
+    std::vector<Region> out;
+    for (const xml::NodeId c : candidates) {
+      XMLQ_GUARD_TICK(guard_, 1);
+      Keep(vertex, c, &out);
+    }
+    return out;
+  }
+
+  /// The entries of `v`'s tag stream inside the regions of `parents` (at
+  /// the child level for child/attribute arcs), found by binary search.
+  /// Parents may nest: a stack of the open ones decides each entry, since
+  /// an entry too deep for an outer parent may be a child of an inner one.
+  Result<std::vector<Region>> Inside(const std::vector<Region>& parents,
+                                     VertexId v) {
+    const PatternVertex& vertex = pattern_.vertex(v);
+    const std::span<const Region> tags = TagStream(doc_, vertex);
+    const bool child_level = vertex.incoming_axis != Axis::kDescendant;
+    std::vector<Region> out;
+    std::vector<Region> open;  // nesting chain of parents around the cursor
+    size_t p = 0;
+    auto t = tags.begin();
+    while (t != tags.end()) {
+      if (open.empty()) {
+        if (p == parents.size()) break;
+        // Jump to the first entry after the next parent starts.
+        t = std::upper_bound(t, tags.end(), parents[p].start,
+                             [](uint32_t start, const Region& r) {
+                               return start < r.start;
+                             });
+        open.push_back(parents[p++]);
+        continue;
+      }
+      while (p < parents.size() && parents[p].start < t->start) {
+        while (!open.empty() && open.back().end < parents[p].start) {
+          open.pop_back();
+        }
+        open.push_back(parents[p++]);
+      }
+      while (!open.empty() && open.back().end < t->start) open.pop_back();
+      if (open.empty()) continue;
+      XMLQ_GUARD_TICK(guard_, 1);
+      ++probes_;
+      // The innermost open parent is the only one that can be t's parent.
+      if ((!child_level || open.back().level + 1 == t->level) &&
+          EvalVertexPredicates(vertex, *doc_.dom, t->start, stats_)) {
+        out.push_back(*t);
+      }
+      ++t;
+    }
+    return out;
+  }
+
+  const IndexedDocument& doc_;
+  const PatternGraph& pattern_;
+  const ResourceGuard* guard_;
+  OpStats* stats_;
+  uint64_t probes_ = 0;
+};
+
+}  // namespace
+
+StreamSeed ChooseSeed(
+    const algebra::PatternGraph& pattern, const storage::ValueIndex& values,
+    const xml::NamePool& pool,
+    const std::function<size_t(xml::NameId)>& element_count) {
+  for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
+    const Axis axis = pattern.vertex(v).incoming_axis;
+    if (axis != Axis::kChild && axis != Axis::kDescendant &&
+        axis != Axis::kAttribute) {
+      return {};
+    }
+  }
+  StreamSeed best;
+  for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
+    const PatternVertex& vertex = pattern.vertex(v);
+    if (vertex.predicates.empty() || vertex.label == "*") continue;
+    const xml::NameId name = pool.Find(vertex.label);
+    if (name == xml::kInvalidName) continue;
+    // Only data elements are indexed: an element vertex seeds when every
+    // element of its name is one.
+    if (!vertex.is_attribute &&
+        values.RunSize(name, /*attribute=*/false) != element_count(name)) {
+      continue;
+    }
+    for (size_t i = 0; i < vertex.predicates.size(); ++i) {
+      const IndexSeek seek = algebra::IndexSeekFor(vertex.predicates[i]);
+      if (seek.kind == IndexSeek::Kind::kNone) continue;
+      const size_t hits =
+          seek.kind == IndexSeek::Kind::kText
+              ? values.CountEqual(name, vertex.predicates[i].literal(),
+                                  vertex.is_attribute)
+              : values.CountNumericRange(name, seek.lo, seek.lo_inclusive,
+                                         seek.hi, seek.hi_inclusive,
+                                         vertex.is_attribute);
+      if (best.vertex == algebra::kNoVertex || hits < best.hits) {
+        best = StreamSeed{v, i, seek, name, hits};
+      }
+    }
+  }
+  return best;
+}
+
+Result<std::vector<std::vector<Region>>> BuildPatternStreams(
+    const IndexedDocument& doc, const algebra::PatternGraph& pattern,
+    const ResourceGuard* guard, OpStats* stats) {
+  const storage::RegionIndex& idx = *doc.regions;
+  const StreamSeed seed =
+      doc.values == nullptr
+          ? StreamSeed{}
+          : ChooseSeed(pattern, *doc.values, doc.dom->pool(),
+                       [&idx](xml::NameId name) {
+                         return idx.ElementStream(name).size();
+                       });
+  if (seed.vertex != algebra::kNoVertex) {
+    return SeededStreams(doc, pattern, guard, stats).Build(seed);
+  }
+  std::vector<std::vector<Region>> streams(pattern.VertexCount());
+  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
+    XMLQ_ASSIGN_OR_RETURN(streams[v],
+                          BuildVertexStream(doc, pattern.vertex(v), stats));
+  }
+  return streams;
 }
 
 Result<NodeList> BinaryJoinPlanMatch(
@@ -176,11 +410,8 @@ Result<NodeList> BinaryJoinPlanMatch(
     }
   }
 
-  std::vector<std::vector<Region>> candidates(k);
-  for (VertexId v = 0; v < k; ++v) {
-    XMLQ_ASSIGN_OR_RETURN(candidates[v],
-                          BuildVertexStream(doc, pattern.vertex(v), op_stats));
-  }
+  XMLQ_ASSIGN_OR_RETURN(std::vector<std::vector<Region>> candidates,
+                        BuildPatternStreams(doc, pattern, guard, op_stats));
   std::vector<std::vector<JoinPair>> pairs(k);
   for (VertexId v : order) {
     const VertexId parent = pattern.vertex(v).parent;

@@ -1,6 +1,7 @@
 #ifndef XMLQ_EXEC_STRUCTURAL_JOIN_H_
 #define XMLQ_EXEC_STRUCTURAL_JOIN_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -68,6 +69,44 @@ std::vector<storage::Region> ToRegions(const storage::RegionIndex& index,
 Result<std::vector<storage::Region>> BuildVertexStream(
     const IndexedDocument& doc, const algebra::PatternVertex& vertex,
     OpStats* stats = nullptr);
+
+/// The vertex whose stream the value index answers with the fewest hits:
+/// a labelled vertex with a predicate that algebra::IndexSeekFor answers
+/// exactly. An element vertex qualifies only when every element of its name
+/// is a data element, i.e. `element_count(name)` equals the index's run for
+/// that name. `hits` is the seek's index count. `vertex` is kNoVertex when
+/// no vertex qualifies, or when an arc is neither child, descendant nor
+/// attribute.
+struct StreamSeed {
+  algebra::VertexId vertex = algebra::kNoVertex;
+  size_t predicate = 0;  // index into the vertex's predicates
+  algebra::IndexSeek seek;
+  xml::NameId name = xml::kInvalidName;
+  size_t hits = 0;
+};
+StreamSeed ChooseSeed(const algebra::PatternGraph& pattern,
+                      const storage::ValueIndex& values,
+                      const xml::NamePool& pool,
+                      const std::function<size_t(xml::NameId)>& element_count);
+
+/// The per-vertex region streams every join engine consumes (TwigStack,
+/// PathStack, the binary join plan), in vertex order. Without a seed (see
+/// ChooseSeed; `doc.values` absent or no vertex qualifies) each stream is
+/// BuildVertexStream's. With one, the seed vertex's stream is its index
+/// hits, and every other stream is cut to the nodes that can still embed:
+/// the seed's ancestors in the pattern take the parents (child/attribute
+/// arcs) or ancestors (descendant arcs) of the vertex below, and every
+/// other vertex keeps the tag-stream entries inside its parent's regions
+/// (at the child level for child/attribute arcs). Every entry is checked
+/// against its vertex's node test and predicates, so the index can prune
+/// a result but never add one; the join kernels' results are unchanged.
+/// A seeded build ticks `guard` once per hit and once per probed entry and
+/// charges one `index_probes` per region it fetches: each hit, each
+/// ancestor candidate that passes its node test, and each tag-stream entry
+/// read inside the parent regions (plus the document region).
+Result<std::vector<std::vector<storage::Region>>> BuildPatternStreams(
+    const IndexedDocument& doc, const algebra::PatternGraph& pattern,
+    const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
 
 /// The classic binary structural-join plan (baseline [11]/[12]): one
 /// stack-tree join per query edge, in `edge_order` (each entry is the edge's

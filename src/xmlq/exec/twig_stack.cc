@@ -206,12 +206,8 @@ Result<NodeList> TwigStackMatch(const IndexedDocument& doc,
     return Status::Internal("injected fault: exec.twigstack.match");
   }
   XMLQ_ASSIGN_OR_RETURN(const VertexId output, ValidateTwigPattern(pattern));
-  const size_t k = pattern.VertexCount();
-  std::vector<std::vector<Region>> streams(k);
-  for (VertexId v = 0; v < k; ++v) {
-    XMLQ_ASSIGN_OR_RETURN(streams[v],
-                          BuildVertexStream(doc, pattern.vertex(v), stats));
-  }
+  XMLQ_ASSIGN_OR_RETURN(const std::vector<std::vector<Region>> streams,
+                        BuildPatternStreams(doc, pattern, guard, stats));
   TwigStackRunner runner(doc, pattern, streams, guard, stats);
   return runner.Run(output);
 }

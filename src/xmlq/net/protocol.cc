@@ -98,7 +98,9 @@ std::string EncodeFrame(FrameType type, uint64_t request_id,
   header.crc = FrameCrc(header, payload);
   std::string bytes(sizeof(header) + payload.size(), '\0');
   std::memcpy(bytes.data(), &header, sizeof(header));
-  std::memcpy(bytes.data() + sizeof(header), payload.data(), payload.size());
+  if (!payload.empty()) {  // an empty view's data() may be null
+    std::memcpy(bytes.data() + sizeof(header), payload.data(), payload.size());
+  }
   return bytes;
 }
 

@@ -152,8 +152,8 @@ CardinalityEstimate EstimatePattern(const Synopsis& synopsis,
   out.selectivity.assign(k, 1);
   out.paths.assign(k, {});
   out.paths[pattern.root()] = {0};
-  // base[v]: nodes on v's root path, ignoring every value predicate.
-  std::vector<double> base(k, 1);
+  std::vector<double>& base = out.root_path_size;
+  base.assign(k, 1);
   for (VertexId v = 1; v < k; ++v) {
     const PatternVertex& vertex = pattern.vertex(v);
     const xml::NameId want =

@@ -26,6 +26,9 @@ struct CardinalityEstimate {
   /// The vertex's root-path count times the predicate selectivities of the
   /// vertex and its ancestors, ignoring every branch constraint.
   std::vector<double> path_cardinality;
+  /// Nodes on each vertex's root path, ignoring every value predicate (the
+  /// sum of its synopsis nodes' counts; 1 for the root).
+  std::vector<double> root_path_size;
   /// Size of the per-tag stream a join-based matcher scans for each vertex.
   std::vector<double> stream_size;
   /// Fraction of each vertex's tag population that satisfies its value

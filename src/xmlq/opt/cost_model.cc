@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "xmlq/exec/structural_join.h"
 #include "xmlq/xpath/nok_partition.h"
 
 namespace xmlq::opt {
@@ -14,29 +15,84 @@ using algebra::PatternGraph;
 using algebra::VertexId;
 using exec::PatternStrategy;
 
+/// The region streams a join engine builds, per vertex: `read` entries
+/// fetched (and predicate-checked when the vertex has predicates), `kept`
+/// entries left after the checks.
+struct JoinStreams {
+  std::vector<double> read;
+  std::vector<double> kept;
+};
+
+/// Unseeded, every vertex reads its whole tag stream.
+JoinStreams UnseededStreams(const CardinalityEstimate& est) {
+  JoinStreams out{est.stream_size, {}};
+  for (size_t v = 0; v < est.stream_size.size(); ++v) {
+    out.kept.push_back(est.stream_size[v] * est.selectivity[v]);
+  }
+  return out;
+}
+
+/// Seeded (the rule of exec::ChooseSeed), the seed reads its index hits,
+/// the vertices above it at most one candidate per kept entry below, and
+/// every other vertex the entries of its root path under its parent's kept
+/// entries.
+JoinStreams BuildJoinStreams(const Synopsis& synopsis,
+                             const xml::NamePool& pool,
+                             const PatternGraph& pattern,
+                             const CardinalityEstimate& est) {
+  JoinStreams out = UnseededStreams(est);
+  if (synopsis.values() == nullptr) return out;
+  const size_t k = pattern.VertexCount();
+  const exec::StreamSeed seed = exec::ChooseSeed(
+      pattern, *synopsis.values(), pool,
+      [&synopsis](xml::NameId name) { return synopsis.CountByName(name); });
+  if (seed.vertex == algebra::kNoVertex) return out;
+  const std::vector<double>& base = est.root_path_size;
+  std::vector<char> done(k, 0);
+  const auto set = [&](VertexId v, double read) {
+    out.read[v] = read;
+    out.kept[v] = std::min(read, est.stream_size[v] * est.selectivity[v]);
+    done[v] = 1;
+  };
+  set(seed.vertex, static_cast<double>(seed.hits));
+  for (VertexId v = seed.vertex; pattern.vertex(v).parent != pattern.root();
+       v = pattern.vertex(v).parent) {
+    const VertexId p = pattern.vertex(v).parent;
+    set(p, std::min(est.stream_size[p], out.kept[v]));
+  }
+  set(pattern.root(), 1);
+  for (VertexId v = 1; v < k; ++v) {
+    if (done[v]) continue;
+    const VertexId p = pattern.vertex(v).parent;
+    set(v, base[p] > 0 ? out.kept[p] * base[v] / base[p] : 0.0);
+  }
+  return out;
+}
+
 /// Reads of the stream of every vertex, and predicate checks on the streams
-/// of vertices that carry predicates (BuildVertexStream).
-void StreamWork(const PatternGraph& pattern, const CardinalityEstimate& est,
+/// of vertices that carry predicates.
+void StreamWork(const PatternGraph& pattern, const JoinStreams& streams,
                 CostFeatures* work) {
   for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
-    work->stream += est.stream_size[v];
+    work->stream += streams.read[v];
     if (!pattern.vertex(v).predicates.empty()) {
-      work->predicate += est.stream_size[v];
+      work->predicate += streams.read[v];
     }
   }
 }
 
 CostFeatures HolisticWork(const PatternGraph& pattern,
-                          const CardinalityEstimate& est, bool path_stack) {
+                          const CardinalityEstimate& est,
+                          const JoinStreams& streams, bool path_stack) {
   // PathStack runs branching patterns on TwigStack.
   for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
     if (pattern.vertex(v).children.size() > 1) path_stack = false;
   }
   CostFeatures work;
-  StreamWork(pattern, est, &work);
+  StreamWork(pattern, streams, &work);
   const double k = static_cast<double>(pattern.VertexCount());
   for (VertexId v = 1; v < pattern.VertexCount(); ++v) {
-    const double filtered = est.stream_size[v] * est.selectivity[v];
+    const double filtered = streams.kept[v];
     double processed = filtered;
     if (!path_stack && !pattern.vertex(v).children.empty()) {
       // getNext skips (one cursor step each) the entries of an inner
@@ -51,10 +107,10 @@ CostFeatures HolisticWork(const PatternGraph& pattern,
     // A processed entry inspects all k vertices: getNext recurses over the
     // twig, PathStack compares every stream head. TwigStack records a pair
     // only for nodes whose extension getNext has verified; PathStack
-    // records every node under a stacked parent.
+    // records every streamed node under a stacked parent.
     (path_stack ? work.merge : work.twig_step) += k * processed;
     work.merge += filtered - processed;
-    work.pair += path_stack ? est.path_cardinality[v]
+    work.pair += path_stack ? std::min(est.path_cardinality[v], filtered)
                             : est.vertex_cardinality[v];
   }
   return work;
@@ -62,18 +118,16 @@ CostFeatures HolisticWork(const PatternGraph& pattern,
 
 CostFeatures BinaryJoinWork(const PatternGraph& pattern,
                             const CardinalityEstimate& est,
+                            const JoinStreams& streams,
                             std::span<const VertexId> order) {
   CostFeatures work;
-  StreamWork(pattern, est, &work);
+  StreamWork(pattern, streams, &work);
   std::vector<VertexId> edges(order.begin(), order.end());
   if (edges.empty()) {
     for (VertexId v = 1; v < pattern.VertexCount(); ++v) edges.push_back(v);
   }
   // current[v]: the estimated size of v's candidate list as joins proceed.
-  std::vector<double> current(pattern.VertexCount());
-  for (VertexId v = 0; v < pattern.VertexCount(); ++v) {
-    current[v] = est.stream_size[v] * est.selectivity[v];
-  }
+  std::vector<double> current = streams.kept;
   for (VertexId v : edges) {
     const VertexId parent = pattern.vertex(v).parent;
     // Each surviving descendant contributes about one pair (ancestors of
@@ -225,11 +279,13 @@ CostFeatures EstimateWork(PatternStrategy strategy, const Synopsis& synopsis,
     case PatternStrategy::kNok:
       return NokWork(synopsis, pool, pattern, est);
     case PatternStrategy::kTwigStack:
-      return HolisticWork(pattern, est, /*path_stack=*/false);
     case PatternStrategy::kPathStack:
-      return HolisticWork(pattern, est, /*path_stack=*/true);
+      return HolisticWork(pattern, est,
+                          BuildJoinStreams(synopsis, pool, pattern, est),
+                          strategy == PatternStrategy::kPathStack);
     case PatternStrategy::kBinaryJoin:
-      return BinaryJoinWork(pattern, est, {});
+      return BinaryJoinWork(pattern, est,
+                            BuildJoinStreams(synopsis, pool, pattern, est), {});
     case PatternStrategy::kNaive:
       return NaiveWork(synopsis, pattern, est);
   }
@@ -240,7 +296,8 @@ double CostBinaryJoin(const PatternGraph& pattern,
                       const CardinalityEstimate& est,
                       std::span<const VertexId> order,
                       const CostParams& params) {
-  return Charge(BinaryJoinWork(pattern, est, order), params);
+  return Charge(BinaryJoinWork(pattern, est, UnseededStreams(est), order),
+                params);
 }
 
 }  // namespace xmlq::opt

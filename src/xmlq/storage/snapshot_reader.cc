@@ -627,21 +627,47 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                                      entries.size()));
     XMLQ_RETURN_IF_ERROR(VerifyFence(layout, value_numeric_offset_ids[f],
                                      name_count, numeric.size()));
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const ValueIndex::PackedEntry& e = entries[i];
-      if (static_cast<uint64_t>(e.text_offset) + e.length >
-              text_buffer.size() ||
-          e.node >= n) {
-        return layout.Err(value_entry_ids[f],
-                          "entry " + std::to_string(i) +
-                              " points outside the text buffer or node set");
+    // Each per-name run must hold only nodes of that name and family (the
+    // join engines seed their streams from it), and text runs must be
+    // sorted by value (EqualRun binary-searches them). Numeric runs are not
+    // checked for order: older writers let NaN in, which left them unsorted,
+    // so FromParts drops NaN and re-sorts each run instead.
+    const xml::NodeKind want_kind =
+        f == 0 ? xml::NodeKind::kElement : xml::NodeKind::kAttribute;
+    const auto text_fence = layout.Typed<uint32_t>(value_offset_ids[f]);
+    const auto numeric_fence =
+        layout.Typed<uint32_t>(value_numeric_offset_ids[f]);
+    const auto value_of = [&](const ValueIndex::PackedEntry& e) {
+      return std::string_view(text_buffer.data() + e.text_offset, e.length);
+    };
+    for (size_t name = 0, i = 0, k = 0; name < name_count; ++name) {
+      for (; i < text_fence[name + 1]; ++i) {
+        const ValueIndex::PackedEntry& e = entries[i];
+        if (static_cast<uint64_t>(e.text_offset) + e.length >
+                text_buffer.size() ||
+            e.node >= n || static_cast<xml::NodeKind>(kinds[e.node]) !=
+                               want_kind ||
+            names[e.node] != name) {
+          return layout.Err(value_entry_ids[f],
+                            "entry " + std::to_string(i) +
+                                " points outside the text buffer or at a "
+                                "node of another name or kind");
+        }
+        if (i > text_fence[name] && value_of(e) < value_of(entries[i - 1])) {
+          return layout.Err(value_entry_ids[f],
+                            "entry " + std::to_string(i) + " is out of order");
+        }
       }
-    }
-    for (size_t i = 0; i < numeric.size(); ++i) {
-      if (numeric[i].node >= n) {
-        return layout.Err(value_numeric_ids[f],
-                          "numeric entry " + std::to_string(i) +
-                              " references a node past the node count");
+      for (; k < numeric_fence[name + 1]; ++k) {
+        const xml::NodeId node = numeric[k].node;
+        if (node >= n ||
+            static_cast<xml::NodeKind>(kinds[node]) != want_kind ||
+            names[node] != name) {
+          return layout.Err(value_numeric_ids[f],
+                            "numeric entry " + std::to_string(k) +
+                                " references a node past the node count or "
+                                "of another name or kind");
+        }
       }
     }
     families[f] = ValueIndex::FamilyParts{

@@ -1,11 +1,21 @@
 #include "xmlq/storage/value_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "xmlq/base/fault_injector.h"
 #include "xmlq/base/strings.h"
 
 namespace xmlq::storage {
+namespace {
+
+bool NumericLess(const ValueIndex::NumericEntry& a,
+                 const ValueIndex::NumericEntry& b) {
+  if (a.value != b.value) return a.value < b.value;
+  return a.node < b.node;
+}
+
+}  // namespace
 
 Result<ValueIndex> ValueIndex::TryBuild(const xml::Document& doc) {
   if (XMLQ_FAULT("storage.value.build")) {
@@ -26,7 +36,26 @@ ValueIndex::Family ValueIndex::UnpackFamily(std::string_view text,
     out.entries.push_back(Entry{
         std::string_view(text.data() + pe.text_offset, pe.length), pe.node});
   }
-  out.numeric.assign(parts.numeric.begin(), parts.numeric.end());
+  // Older writers let NaN into the numeric runs, which broke their sort
+  // order: drop it and re-sort each run that is out of order.
+  out.numeric.reserve(parts.numeric.size());
+  for (size_t name = 0; name + 1 < out.numeric_offsets.size(); ++name) {
+    const size_t begin = out.numeric.size();
+    for (uint32_t i = parts.numeric_offsets[name];
+         i < parts.numeric_offsets[name + 1]; ++i) {
+      if (!std::isnan(parts.numeric[i].value)) {
+        out.numeric.push_back(parts.numeric[i]);
+      }
+    }
+    out.numeric_offsets[name] = static_cast<uint32_t>(begin);
+    const auto run = out.numeric.begin() + begin;
+    if (!std::is_sorted(run, out.numeric.end(), NumericLess)) {
+      std::sort(run, out.numeric.end(), NumericLess);
+    }
+  }
+  if (!out.numeric_offsets.empty()) {
+    out.numeric_offsets.back() = static_cast<uint32_t>(out.numeric.size());
+  }
   return out;
 }
 
@@ -62,11 +91,17 @@ void ValueIndex::BuildFamily(std::vector<std::pair<xml::NameId, Entry>>* raw,
                      }
                      return a.second.node < b.second.node;
                    });
+  // NaN ("nan" parses) stays out of the numeric runs: no `=` or ordered
+  // comparison matches it, and it would break the runs' sort order.
+  const auto numeric_value = [](std::string_view text) {
+    const std::optional<double> num = ParseDouble(text);
+    return num.has_value() && !std::isnan(*num) ? num : std::nullopt;
+  };
   family->offsets.assign(name_count + 1, 0);
   family->numeric_offsets.assign(name_count + 1, 0);
   for (const auto& [name, entry] : *raw) {
     ++family->offsets[name + 1];
-    if (ParseDouble(entry.value).has_value()) {
+    if (numeric_value(entry.value).has_value()) {
       ++family->numeric_offsets[name + 1];
     }
   }
@@ -77,7 +112,7 @@ void ValueIndex::BuildFamily(std::vector<std::pair<xml::NameId, Entry>>* raw,
   family->entries.reserve(raw->size());
   for (const auto& [name, entry] : *raw) {
     family->entries.push_back(entry);
-    if (auto num = ParseDouble(entry.value)) {
+    if (auto num = numeric_value(entry.value)) {
       family->numeric.push_back(NumericEntry{*num, entry.node});
     }
   }
@@ -85,10 +120,7 @@ void ValueIndex::BuildFamily(std::vector<std::pair<xml::NameId, Entry>>* raw,
   for (size_t name = 0; name < name_count; ++name) {
     auto begin = family->numeric.begin() + family->numeric_offsets[name];
     auto end = family->numeric.begin() + family->numeric_offsets[name + 1];
-    std::sort(begin, end, [](const NumericEntry& a, const NumericEntry& b) {
-      if (a.value != b.value) return a.value < b.value;
-      return a.node < b.node;
-    });
+    std::sort(begin, end, NumericLess);
   }
 }
 
@@ -138,7 +170,8 @@ std::span<const ValueIndex::NumericEntry> ValueIndex::NumericRun(
     bool hi_inclusive, bool attribute) const {
   const Family& family = FamilyFor(attribute);
   if (name == xml::kInvalidName ||
-      name + 1 >= family.numeric_offsets.size()) {
+      name + 1 >= family.numeric_offsets.size() || std::isnan(lo) ||
+      std::isnan(hi)) {
     return {};
   }
   const auto begin = family.numeric.begin() + family.numeric_offsets[name];
@@ -177,6 +210,14 @@ std::vector<xml::NodeId> ValueIndex::LookupNumericRange(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+size_t ValueIndex::RunSize(xml::NameId name, bool attribute) const {
+  const Family& family = FamilyFor(attribute);
+  if (name == xml::kInvalidName || name + 1 >= family.offsets.size()) {
+    return 0;
+  }
+  return family.offsets[name + 1] - family.offsets[name];
 }
 
 size_t ValueIndex::size() const {

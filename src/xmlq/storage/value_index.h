@@ -21,7 +21,8 @@ namespace xmlq::storage {
 ///     *attribute node's* NodeId (callers take Parent() for the owner).
 ///
 /// Each family is a per-name sorted run over (value, node), supporting exact
-/// lookups and, for values that parse as numbers, numeric range scans.
+/// lookups and, for values that parse as numbers other than NaN, numeric
+/// range scans (a NaN bound selects nothing).
 ///
 /// The index is always materialized in heap memory (entries are string_views
 /// into the document's text buffer, which snapshots restore first); snapshot
@@ -72,6 +73,8 @@ class ValueIndex {
   /// Materializes from packed snapshot sections. `text` is the restored
   /// document's text buffer; every packed slice must lie inside it (callers
   /// validate — see snapshot_reader) and `text` must outlive the index.
+  /// NaN numeric entries (written by older builds) are dropped and each
+  /// numeric run is re-sorted if it is out of order.
   static ValueIndex FromParts(std::string_view text,
                               const FamilyParts& elements,
                               const FamilyParts& attributes);
@@ -101,6 +104,12 @@ class ValueIndex {
     return NumericRun(name, lo, lo_inclusive, hi, hi_inclusive, attribute)
         .size();
   }
+
+  /// Number of indexed entries for `name` in one family. For elements,
+  /// equal to the name's element count exactly when every element of that
+  /// name is a data element (the check that lets a value predicate on an
+  /// element vertex be answered from the index).
+  size_t RunSize(xml::NameId name, bool attribute) const;
 
   /// Number of indexed entries (both families).
   size_t size() const;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <memory>
 
 #include "xmlq/base/random.h"
@@ -25,18 +27,26 @@ using algebra::ValuePredicate;
 using algebra::ValueTyping;
 using algebra::VertexId;
 
-/// Bundles a document with all physical views for the matchers.
+/// Bundles a document with all physical views for the matchers. `view`
+/// carries the value index, so the join engines seed their streams from
+/// it; `unindexed` is the same document without it.
 struct TestDoc {
   std::unique_ptr<xml::Document> dom;
   std::unique_ptr<storage::SuccinctDocument> succinct;
   std::unique_ptr<storage::RegionIndex> regions;
+  std::unique_ptr<storage::ValueIndex> values;
   IndexedDocument view;
+  IndexedDocument unindexed;
 
   explicit TestDoc(std::unique_ptr<xml::Document> d) : dom(std::move(d)) {
     succinct = std::make_unique<storage::SuccinctDocument>(
         storage::SuccinctDocument::Build(*dom));
     regions = std::make_unique<storage::RegionIndex>(*dom);
-    view = IndexedDocument{dom.get(), succinct.get(), regions.get(), nullptr};
+    values = std::make_unique<storage::ValueIndex>(*dom);
+    view = IndexedDocument{dom.get(), succinct.get(), regions.get(),
+                           values.get()};
+    unindexed = view;
+    unindexed.values = nullptr;
   }
 };
 
@@ -64,22 +74,28 @@ void ExpectAllEnginesAgree(const TestDoc& doc, const PatternGraph& graph,
   ASSERT_TRUE(hybrid.ok()) << label << ": " << hybrid.status().ToString();
   EXPECT_EQ(*hybrid, *naive) << label << " (hybrid/NoK)";
 
-  auto twig = TwigStackMatch(doc.view, graph);
-  ASSERT_TRUE(twig.ok()) << label << ": " << twig.status().ToString();
-  EXPECT_EQ(*twig, *naive) << label << " (TwigStack)";
-
-  auto binary = BinaryJoinPlanMatch(doc.view, graph);
-  ASSERT_TRUE(binary.ok()) << label << ": " << binary.status().ToString();
-  EXPECT_EQ(*binary, *naive) << label << " (binary joins)";
-
   bool linear = true;
   for (VertexId v = 0; v < graph.VertexCount(); ++v) {
     if (graph.vertex(v).children.size() > 1) linear = false;
   }
-  if (linear) {
-    auto path = PathStackMatch(doc.view, graph);
-    ASSERT_TRUE(path.ok()) << label << ": " << path.status().ToString();
-    EXPECT_EQ(*path, *naive) << label << " (PathStack)";
+  // The join engines run with the value index (seeded streams) and
+  // without it.
+  for (const bool indexed : {true, false}) {
+    const IndexedDocument& view = indexed ? doc.view : doc.unindexed;
+    const std::string mode = indexed ? ", indexed" : ", unindexed";
+    auto twig = TwigStackMatch(view, graph);
+    ASSERT_TRUE(twig.ok()) << label << ": " << twig.status().ToString();
+    EXPECT_EQ(*twig, *naive) << label << " (TwigStack" << mode << ")";
+
+    auto binary = BinaryJoinPlanMatch(view, graph);
+    ASSERT_TRUE(binary.ok()) << label << ": " << binary.status().ToString();
+    EXPECT_EQ(*binary, *naive) << label << " (binary joins" << mode << ")";
+
+    if (linear) {
+      auto path = PathStackMatch(view, graph);
+      ASSERT_TRUE(path.ok()) << label << ": " << path.status().ToString();
+      EXPECT_EQ(*path, *naive) << label << " (PathStack" << mode << ")";
+    }
   }
 }
 
@@ -218,12 +234,47 @@ TEST(NokMatcherTest, RejectsUnsupportedAxes) {
   EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
 }
 
-/// Generates a random twig over the random-tree vocabulary.
-PatternGraph RandomPattern(Rng* rng) {
+/// The indexed values of `doc`: every attribute value and the text of every
+/// data element, so generated `=` predicates hit the index.
+std::vector<std::string> IndexedLiterals(const xml::Document& doc) {
+  std::vector<std::string> out;
+  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
+    if (doc.Kind(n) == xml::NodeKind::kAttribute) {
+      out.emplace_back(doc.Text(n));
+    } else if (doc.Kind(n) == xml::NodeKind::kText &&
+               doc.FirstChild(doc.Parent(n)) == n &&
+               doc.NextSibling(n) == xml::kNullNode) {
+      out.emplace_back(doc.Text(n));
+    }
+  }
+  if (out.empty()) out.emplace_back("0");
+  return out;
+}
+
+/// An `=` predicate against a literal from the document, typed as an XPath
+/// string comparison or a `where` general comparison.
+ValuePredicate RandomEquality(Rng* rng,
+                              const std::vector<std::string>& literals) {
+  const ValueTyping typing =
+      rng->Chance(0.5) ? ValueTyping::kString : ValueTyping::kGeneral;
+  return ValuePredicate{CompareOp::kEq, literals[rng->Below(literals.size())],
+                        typing};
+}
+
+/// What RandomPattern draws from: the document's element labels and its
+/// indexed values.
+struct PatternVocabulary {
+  std::vector<std::string> labels;
+  std::vector<std::string> literals;
+};
+
+/// Generates a random twig over a document's vocabulary.
+PatternGraph RandomPattern(Rng* rng, const PatternVocabulary& vocabulary) {
+  const std::vector<std::string>& literals = vocabulary.literals;
   PatternGraph graph;
   const auto random_label = [&]() -> std::string {
     if (rng->Chance(0.12)) return "*";
-    return "t" + std::to_string(rng->Below(4));
+    return vocabulary.labels[rng->Below(vocabulary.labels.size())];
   };
   VertexId spine = graph.root();
   const int steps = static_cast<int>(rng->Range(1, 4));
@@ -248,6 +299,8 @@ PatternGraph RandomPattern(Rng* rng) {
                            ValuePredicate{CompareOp::kLt,
                                           std::to_string(rng->Below(50)),
                                           ValueTyping::kNumber});
+      } else if (rng->Chance(0.5)) {
+        graph.AddPredicate(attr, RandomEquality(rng, literals));
       }
       continue;
     }
@@ -262,10 +315,44 @@ PatternGraph RandomPattern(Rng* rng) {
       graph.AddPredicate(cur, ValuePredicate{op,
                                              std::to_string(rng->Below(100)),
                                              ValueTyping::kNumber});
+    } else if (rng->Chance(0.3)) {
+      graph.AddPredicate(cur, RandomEquality(rng, literals));
     }
   }
   graph.SetOutput(spine_vertices[rng->Below(spine_vertices.size())]);
   return graph;
+}
+
+/// A random tree of recursively nested t0..t3 elements in which every
+/// element may carry an `a0`..`a2` attribute and `v` data-element children,
+/// drawing both from a few values that parse (or not) in different ways.
+/// Every `v` is a data element, so `v` vertices seed from the index.
+std::unique_ptr<xml::Document> RandomDataTree(uint64_t seed) {
+  static const char* const kValues[] = {"1990", "1990.0", " 1990", "x",
+                                        "nan",  "inf",    "7",     "12"};
+  Rng rng(seed);
+  auto doc = std::make_unique<xml::Document>();
+  const auto value = [&] { return kValues[rng.Below(std::size(kValues))]; };
+  size_t created = 0;
+  std::function<void(xml::NodeId, int)> grow = [&](xml::NodeId node,
+                                                   int depth) {
+    if (rng.Chance(0.4)) {
+      doc->AddAttribute(node, "a" + std::to_string(rng.Below(3)), value());
+    }
+    double keep_going = depth <= 2 ? 0.8 : 0.5;
+    while (created < 200 && depth < 8 && rng.Chance(keep_going)) {
+      keep_going *= 0.85;
+      ++created;
+      if (rng.Chance(0.3)) {
+        doc->AddText(doc->AddElement(node, "v"), value());
+      } else {
+        grow(doc->AddElement(node, "t" + std::to_string(rng.Below(4))),
+             depth + 1);
+      }
+    }
+  };
+  grow(doc->AddElement(doc->root(), "t0"), 1);
+  return doc;
 }
 
 class MatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -275,14 +362,21 @@ TEST_P(MatcherPropertyTest, AllEnginesAgreeOnRandomTreesAndPatterns) {
   options.seed = GetParam();
   options.num_elements = 220;
   options.tag_vocabulary = 4;
-  TestDoc doc(datagen::GenerateRandomTree(options));
+  const TestDoc docs[] = {TestDoc(datagen::GenerateRandomTree(options)),
+                          TestDoc(RandomDataTree(GetParam()))};
+  const std::vector<std::string> labels[] = {{"t0", "t1", "t2", "t3"},
+                                             {"t0", "t1", "t2", "t3", "v"}};
   Rng rng(GetParam() * 7919 + 13);
-  for (int q = 0; q < 40; ++q) {
-    const PatternGraph graph = RandomPattern(&rng);
-    ASSERT_TRUE(graph.Validate().ok());
-    ExpectAllEnginesAgree(doc, graph,
-                          "seed=" + std::to_string(GetParam()) + " query#" +
-                              std::to_string(q) + "\n" + graph.ToString());
+  for (size_t d = 0; d < std::size(docs); ++d) {
+    const TestDoc& doc = docs[d];
+    const PatternVocabulary vocabulary{labels[d], IndexedLiterals(*doc.dom)};
+    for (int q = 0; q < 40; ++q) {
+      const PatternGraph graph = RandomPattern(&rng, vocabulary);
+      ASSERT_TRUE(graph.Validate().ok());
+      ExpectAllEnginesAgree(doc, graph,
+                            "seed=" + std::to_string(GetParam()) + " query#" +
+                                std::to_string(q) + "\n" + graph.ToString());
+    }
   }
 }
 
@@ -350,6 +444,124 @@ TEST(MatchersTest, AuctionWorkloadQueries) {
        }) {
     ExpectAllEnginesAgree(doc, FromXPath(query), query);
   }
+}
+
+// --- Value-index seeding -----------------------------------------------------
+
+/// Every typing × operator × literal over values that parse, parse with
+/// whitespace or as NaN/infinity, or do not parse: where the seeding rule
+/// says the index answers a predicate, the seeded stream is the scanned
+/// stream and the index count is exact; elsewhere nothing seeds.
+TEST(SeededStreamTest, SeedEqualsScanForEveryTypingOpAndLiteral) {
+  static const char* const kValues[] = {"1990", "1990.0", " 1990", "x",
+                                        "",     "nan",    "inf"};
+  auto dom = std::make_unique<xml::Document>();
+  const xml::NodeId r = dom->AddElement(dom->root(), "r");
+  for (const char* value : kValues) {
+    const xml::NodeId e = dom->AddElement(r, "e");
+    dom->AddAttribute(e, "v", value);
+    // An empty element is not a data element; keep `p` fully indexed.
+    if (*value != '\0') dom->AddText(dom->AddElement(e, "p"), value);
+  }
+  const TestDoc doc(std::move(dom));
+  const auto element_count = [&](xml::NameId name) {
+    return doc.regions->ElementStream(name).size();
+  };
+  for (const ValueTyping typing :
+       {ValueTyping::kString, ValueTyping::kNumber, ValueTyping::kGeneral,
+        ValueTyping::kGeneralNumber}) {
+    for (const CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                               CompareOp::kLe, CompareOp::kGt,
+                               CompareOp::kGe}) {
+      for (const char* literal : kValues) {
+        for (const bool attribute : {true, false}) {
+          PatternGraph graph;
+          const VertexId e =
+              graph.AddVertex(graph.root(), Axis::kDescendant, "e");
+          const VertexId target =
+              attribute ? graph.AddVertex(e, Axis::kAttribute, "v", true)
+                        : graph.AddVertex(e, Axis::kChild, "p");
+          const ValuePredicate pred{op, literal, typing};
+          graph.AddPredicate(target, pred);
+          graph.SetOutput(e);
+          const std::string cell =
+              std::string(attribute ? "@v " : "p ") + pred.ToString() +
+              " typing=" + std::to_string(static_cast<int>(typing));
+          auto scanned =
+              BuildVertexStream(doc.view, graph.vertex(target), nullptr);
+          ASSERT_TRUE(scanned.ok()) << cell;
+          const StreamSeed seed = ChooseSeed(graph, *doc.values,
+                                             doc.dom->pool(), element_count);
+          const bool exact =
+              algebra::IndexSeekFor(pred).kind != algebra::IndexSeek::Kind::kNone;
+          ASSERT_EQ(seed.vertex == target, exact) << cell;
+          auto streams = BuildPatternStreams(doc.view, graph);
+          ASSERT_TRUE(streams.ok()) << cell;
+          ASSERT_EQ((*streams)[target].size(), scanned->size()) << cell;
+          for (size_t i = 0; i < scanned->size(); ++i) {
+            EXPECT_EQ((*streams)[target][i].start, (*scanned)[i].start)
+                << cell;
+          }
+          if (exact) {
+            EXPECT_EQ(seed.hits, scanned->size()) << cell;
+          }
+          ExpectAllEnginesAgree(doc, graph, cell);
+        }
+      }
+    }
+  }
+}
+
+TEST(SeededStreamTest, MixedContentElementsDoNotSeed) {
+  // Both `a`s have the string-value "foo", but only the second is a data
+  // element, so the index misses the first: `a` must not seed.
+  TestDoc doc = FromXml("<r><a>fo<b/>o</a><a>foo</a></r>");
+  PatternGraph graph;
+  const VertexId a = graph.AddVertex(graph.root(), Axis::kDescendant, "a");
+  graph.AddPredicate(a, ValuePredicate{CompareOp::kEq, "foo"});
+  graph.SetOutput(a);
+  const StreamSeed seed = ChooseSeed(
+      graph, *doc.values, doc.dom->pool(), [&](xml::NameId name) {
+        return doc.regions->ElementStream(name).size();
+      });
+  EXPECT_EQ(seed.vertex, algebra::kNoVertex);
+  auto twig = TwigStackMatch(doc.view, graph);
+  ASSERT_TRUE(twig.ok()) << twig.status().ToString();
+  EXPECT_EQ(twig->size(), 2u);
+  ExpectAllEnginesAgree(doc, graph, "a = 'foo' over mixed content");
+}
+
+TEST(SeededStreamTest, NestedSameTagParentsKeepInnerChildren) {
+  // The seeded `a` candidates nest. A `b` too deep for an outer `a` can be
+  // a child of an inner one, and the middle `a` (no matching `x`) must not
+  // contribute its `b` children.
+  TestDoc doc = FromXml(
+      "<r><a id=\"k\"><a id=\"k\"><b>1</b></a><b>2</b></a>"
+      "<a><x id=\"k\"/><a><b>3</b><a><x id=\"k\"/><b>4</b></a><b>5</b>"
+      "</a><b>6</b></a></r>");
+  for (const char* query : {
+           "//a[@id = 'k']/b",
+           "//a[@id = 'k']//b",
+           "//a[x/@id = 'k']/b",
+           "//a[x/@id = 'k']//b",
+           "//a[b = '4']//a/b",
+           "//r//a[.//x/@id = 'k']/b",
+       }) {
+    ExpectAllEnginesAgree(doc, FromXPath(query), query);
+  }
+  auto nested = TwigStackMatch(doc.view, FromXPath("//a[@id = 'k']/b"));
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(nested->size(), 2u);
+  // The `a` candidates are the outer `a` of the second group and its
+  // innermost `a`. Of the four `b`s inside the outer one, only the two at
+  // a candidate's child level stay in the stream: 4 and 6, not 3 and 5.
+  const PatternGraph graph = FromXPath("//a[x/@id = 'k']/b");
+  auto streams = BuildPatternStreams(doc.view, graph);
+  ASSERT_TRUE(streams.ok());
+  const VertexId b = graph.SoleOutput();
+  ASSERT_EQ((*streams)[b].size(), 2u);
+  EXPECT_EQ(doc.dom->StringValue((*streams)[b][0].start), "4");
+  EXPECT_EQ(doc.dom->StringValue((*streams)[b][1].start), "6");
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "xmlq/exec/path_stack.h"
 #include "xmlq/exec/structural_join.h"
 #include "xmlq/exec/twig_stack.h"
+#include "xmlq/storage/value_index.h"
 #include "xmlq/xpath/compiler.h"
 #include "xmlq/xpath/parser.h"
 
@@ -110,6 +111,41 @@ TEST(TwigStackComplexityTest, VisitsEqualTotalStreamSize) {
     // Every push is eventually popped or accounted by the final stacks.
     EXPECT_LE(stats.stack_pops, stats.stack_pushes) << query;
   }
+}
+
+TEST(TwigStackComplexityTest, SeededStreamsReadOnlyIndexHits) {
+  TestDoc doc = AuctionDoc(0.05);
+  const storage::ValueIndex values(*doc.dom);
+  doc.view.values = &values;
+  const PatternGraph graph = FromXPath("//person[@id = 'person7']/name");
+  const xml::NamePool& pool = doc.dom->pool();
+  // The seed: the `@id` attributes equal to 'person7'.
+  const std::vector<xml::NodeId> hits =
+      values.Lookup(pool.Find("id"), "person7", /*attribute=*/true);
+  ASSERT_EQ(hits.size(), 1u);
+  // The pruned streams: the document region, the persons owning a hit, and
+  // the `name` children of those persons.
+  uint64_t pruned = 1;
+  std::vector<storage::Region> persons;
+  for (const xml::NodeId hit : hits) {
+    persons.push_back(doc.regions->RegionOf(doc.dom->Parent(hit)));
+  }
+  pruned += persons.size();
+  for (const storage::Region& name :
+       doc.regions->ElementStream(pool.Find("name"))) {
+    for (const storage::Region& person : persons) {
+      if (person.IsParentOf(name)) ++pruned;
+    }
+  }
+  OpStats stats;
+  auto result = TwigStackMatch(doc.view, graph, nullptr, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 1u);
+  // Each stream entry is still consumed once, but the streams hold only the
+  // index hits and the entries inside their regions.
+  EXPECT_EQ(stats.nodes_visited, hits.size() + pruned);
+  EXPECT_EQ(stats.index_probes, hits.size() + pruned);
+  EXPECT_LT(stats.index_probes, TotalStreamSize(doc, graph));
 }
 
 TEST(TwigStackComplexityTest, VisitsScaleLinearlyWithDocumentSize) {

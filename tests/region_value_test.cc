@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
 #include "xmlq/datagen/random_tree.h"
@@ -205,6 +209,57 @@ TEST(ValueIndexTest, CountsEqualLookupSizesOnAuction) {
       }
     }
   }
+}
+
+TEST(ValueIndexTest, NanValuesStayOutOfNumericRuns) {
+  // One value in three is "nan", which parses. Left in a run it would break
+  // the run's sort order and so every binary search over it.
+  std::string text = "<r>";
+  for (int i = 0; i < 200; ++i) {
+    text += "<p>" + (i % 3 == 0 ? std::string("nan")
+                                : std::to_string((i * 37) % 211)) +
+            "</p>";
+  }
+  text += "</r>";
+  auto doc = xml::ParseDocument(text);
+  ASSERT_TRUE(doc.ok());
+  ValueIndex index(*doc);
+  const xml::NameId p = doc->pool().Find("p");
+  const RegionIndex regions(*doc);
+  const auto stream = regions.ElementStream(p);
+  ASSERT_EQ(stream.size(), 200u);
+  ASSERT_EQ(index.RunSize(p, /*attribute=*/false), 200u);
+  size_t ranges = 0;
+  for (const double lo : {-1.0, 0.0, 50.0, 100.0}) {
+    for (const double hi : {0.0, 100.0, 150.0, 210.0}) {
+      if (hi < lo) continue;
+      for (const bool inclusive : {false, true}) {
+        std::vector<xml::NodeId> scan;
+        for (const Region& r : stream) {
+          const double v = std::stod(doc->StringValue(r.start));
+          if (!std::isnan(v) && (inclusive ? lo <= v : lo < v) &&
+              (inclusive ? v <= hi : v < hi)) {
+            scan.push_back(r.start);
+          }
+        }
+        EXPECT_EQ(index.LookupNumericRange(p, lo, inclusive, hi, inclusive,
+                                           false),
+                  scan)
+            << lo << ".." << hi;
+        EXPECT_EQ(index.CountNumericRange(p, lo, inclusive, hi, inclusive,
+                                          false),
+                  scan.size())
+            << lo << ".." << hi;
+        ++ranges;
+      }
+    }
+  }
+  EXPECT_EQ(ranges, 28u);
+  // NaN is still indexed as text, and a NaN bound selects nothing.
+  EXPECT_EQ(index.CountEqual(p, "nan", false), 67u);
+  const double nan = std::nan("");
+  EXPECT_EQ(index.CountNumericRange(p, nan, true, nan, true, false), 0u);
+  EXPECT_EQ(index.CountNumericRange(p, nan, false, 1e9, true, false), 0u);
 }
 
 }  // namespace

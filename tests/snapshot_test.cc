@@ -18,6 +18,7 @@
 #include "xmlq/base/fault_injector.h"
 #include "xmlq/base/file_io.h"
 #include "xmlq/base/random.h"
+#include "xmlq/base/strings.h"
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
 #include "xmlq/storage/snapshot.h"
@@ -31,6 +32,7 @@ using api::QueryOptions;
 using storage::OpenSnapshot;
 using storage::OpenSnapshotFromBytes;
 using storage::SnapshotOpenMode;
+using storage::VerifySnapshotImage;
 
 /// Removes `path` on scope exit so failed assertions don't leak temp files
 /// into later runs.
@@ -499,6 +501,177 @@ TEST(SnapshotTest, FuzzPayloadMutationsBehindValidChecksums) {
     FuzzOpen(std::move(image));
     if (HasFatalFailure()) FAIL() << "iteration " << i;
   }
+}
+
+/// Replaces the payload of section `id` and lays the image out again (64-byte
+/// aligned payloads, new file size, fresh checksums), the way the writer
+/// would have written that payload.
+std::string ReplaceSection(const std::string& image, storage::SectionId id,
+                           std::string_view payload) {
+  using storage::SnapshotHeader;
+  using storage::SnapshotSection;
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  std::vector<SnapshotSection> table(header.section_count);
+  std::memcpy(table.data(), image.data() + sizeof(header),
+              table.size() * sizeof(SnapshotSection));
+  std::string out(sizeof(header) + table.size() * sizeof(SnapshotSection),
+                  '\0');
+  for (SnapshotSection& section : table) {
+    const std::string_view bytes =
+        section.id == static_cast<uint32_t>(id)
+            ? payload
+            : std::string_view(image).substr(section.offset, section.size);
+    out.resize((out.size() + 63) / 64 * 64, '\0');
+    section.offset = out.size();
+    section.size = bytes.size();
+    out.append(bytes);
+  }
+  header.file_size = out.size();
+  std::memcpy(out.data(), &header, sizeof(header));
+  std::memcpy(out.data() + sizeof(header), table.data(),
+              table.size() * sizeof(SnapshotSection));
+  FixChecksums(&out);
+  return out;
+}
+
+std::string_view SectionBytes(const std::string& image,
+                              const storage::SnapshotWriteInfo& info,
+                              storage::SectionId id) {
+  for (const auto& section : info.sections) {
+    if (section.id == static_cast<uint32_t>(id)) {
+      return std::string_view(image).substr(section.offset, section.size);
+    }
+  }
+  return {};
+}
+
+/// A document whose `p` data elements hold "nan" one time in three.
+std::string NanDocument() {
+  std::string text = "<r>";
+  for (int i = 0; i < 60; ++i) {
+    text += "<p>" + (i % 3 == 0 ? std::string("nan")
+                                : std::to_string((i * 37) % 101)) +
+            "</p>";
+  }
+  return text + "</r>";
+}
+
+TEST(SnapshotTest, OpensNumericRunsHoldingNanFromOlderWriters) {
+  Database db;
+  ASSERT_TRUE(db.LoadDocument("nan.xml", NanDocument()).ok());
+  TempFile file("nan_src.xqpack");
+  auto info = db.Save("nan.xml", file.path());
+  ASSERT_TRUE(info.ok());
+  const std::string image = ReadFileOrDie(file.path());
+
+  // Older writers put every value that parses into the numeric run, NaN
+  // included; their sort then left the run out of order. Write the `p` run
+  // that way: document order, NaN interleaved.
+  const xml::Document& dom = *db.Get("nan.xml")->dom;
+  const xml::NameId p = dom.pool().Find("p");
+  std::vector<storage::ValueIndex::NumericEntry> run;
+  for (xml::NodeId i = 0; i < dom.NodeCount(); ++i) {
+    if (dom.Kind(i) == xml::NodeKind::kElement && dom.Name(i) == p) {
+      run.push_back({*ParseDouble(dom.StringValue(i)), i});
+    }
+  }
+  ASSERT_EQ(run.size(), 60u);
+  std::vector<uint32_t> fence(dom.pool().size() + 1, 0);
+  for (size_t name = p + 1; name < fence.size(); ++name) {
+    fence[name] = static_cast<uint32_t>(run.size());
+  }
+  std::string old = ReplaceSection(
+      image, storage::SectionId::kValueElementNumeric,
+      std::string_view(reinterpret_cast<const char*>(run.data()),
+                       run.size() * sizeof(run[0])));
+  old = ReplaceSection(
+      old, storage::SectionId::kValueElementNumericOffsets,
+      std::string_view(reinterpret_cast<const char*>(fence.data()),
+                       fence.size() * sizeof(fence[0])));
+  ASSERT_NE(old, image);
+
+  EXPECT_TRUE(VerifySnapshotImage(old, /*deep=*/true).ok());
+  auto opened = OpenSnapshotFromBytes(FileBytes::Copy(old),
+                                      SnapshotOpenMode::kCopy);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const storage::ValueIndex& values = *opened->values;
+  for (const double lo : {-1.0, 0.0, 30.0, 60.0}) {
+    for (const double hi : {0.0, 50.0, 100.0}) {
+      std::vector<xml::NodeId> scan;
+      for (const auto& entry : run) {
+        if (lo <= entry.value && entry.value <= hi) scan.push_back(entry.node);
+      }
+      EXPECT_EQ(values.LookupNumericRange(p, lo, true, hi, true, false), scan)
+          << lo << ".." << hi;
+      EXPECT_EQ(values.CountNumericRange(p, lo, true, hi, true, false),
+                scan.size())
+          << lo << ".." << hi;
+    }
+  }
+
+  // Queries the join engines seed from the numeric run answer as on the
+  // freshly loaded document.
+  TempFile old_file("nan_old.xqpack");
+  WriteFileOrDie(old_file.path(), old);
+  Database reopened;
+  ASSERT_TRUE(
+      reopened.Open("nan.xml", old_file.path(), SnapshotOpenMode::kCopy).ok());
+  for (const char* query :
+       {"doc(\"nan.xml\")//p[. = 37]", "doc(\"nan.xml\")//p[. > 50]",
+        "doc(\"nan.xml\")//p[. <= 20]", "doc(\"nan.xml\")//p[. = 'nan']"}) {
+    auto want = db.Query(query);
+    auto got = reopened.Query(query);
+    ASSERT_TRUE(want.ok() && got.ok()) << query;
+    EXPECT_FALSE(want->value.empty()) << query;
+    EXPECT_EQ(Database::ToXml(*got), Database::ToXml(*want)) << query;
+  }
+}
+
+TEST(SnapshotTest, CorruptValueRunsRejected) {
+  Database db;
+  ASSERT_TRUE(db.LoadDocument("nan.xml", NanDocument()).ok());
+  TempFile file("runs_src.xqpack");
+  auto info = db.Save("nan.xml", file.path());
+  ASSERT_TRUE(info.ok());
+  const std::string image = ReadFileOrDie(file.path());
+  const std::string_view section = SectionBytes(
+      image, *info, storage::SectionId::kValueElementEntries);
+  ASSERT_GE(section.size(), 2 * sizeof(storage::ValueIndex::PackedEntry));
+  const size_t offset = section.data() - image.data();
+  std::vector<storage::ValueIndex::PackedEntry> entries(
+      section.size() / sizeof(storage::ValueIndex::PackedEntry));
+  std::memcpy(entries.data(), section.data(), section.size());
+
+  const auto open_with = [&](const std::vector<
+                             storage::ValueIndex::PackedEntry>& mutated) {
+    std::string bad = image;
+    std::memcpy(bad.data() + offset, mutated.data(), section.size());
+    FixChecksums(&bad);
+    return OpenSnapshotFromBytes(FileBytes::Copy(bad),
+                                 SnapshotOpenMode::kCopy);
+  };
+  // A text run out of value order: EqualRun's binary search would miss rows.
+  auto swapped = entries;
+  std::swap(swapped.front(), swapped.back());
+  auto opened = open_with(swapped);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("value_element_entries"),
+            std::string::npos);
+  EXPECT_NE(opened.status().message().find("out of order"), std::string::npos)
+      << opened.status().ToString();
+  // An entry naming a node of another name (the root `r`).
+  auto renamed = entries;
+  renamed[1].node = db.Get("nan.xml")->dom->root();
+  if (db.Get("nan.xml")->dom->Kind(renamed[1].node) !=
+      xml::NodeKind::kElement) {
+    renamed[1].node = db.Get("nan.xml")->dom->FirstChild(renamed[1].node);
+  }
+  opened = open_with(renamed);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("another name or kind"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(SnapshotTest, FaultInjectionAtWriteMapAndVerify) {
