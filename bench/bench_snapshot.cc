@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "xmlq/storage/snapshot.h"
-#include "xmlq/storage/tag_dictionary.h"
 #include "xmlq/xml/parser.h"
 #include "xmlq/xml/serializer.h"
 
@@ -28,9 +27,8 @@ const std::string& SnapshotPath(int permille) {
   if (slot.empty()) {
     slot = "bench_snapshot_" + std::to_string(permille) + ".xqpack";
     const LoadedDoc& doc = AuctionDoc(permille);
-    storage::TagDictionary tags(*doc.dom);
     auto info = storage::WriteSnapshot(slot, *doc.dom, *doc.succinct,
-                                       *doc.regions, *doc.values, tags);
+                                       *doc.regions, *doc.values);
     if (!info.ok()) {
       std::fprintf(stderr, "snapshot write failed: %s\n",
                    info.status().ToString().c_str());
@@ -42,8 +40,7 @@ const std::string& SnapshotPath(int permille) {
 
 size_t OwnedHeapBytes(const storage::OpenedSnapshot& snapshot) {
   return snapshot.dom->MemoryUsage() + snapshot.succinct->HeapBytes() +
-         snapshot.regions->HeapBytes() + snapshot.values->HeapBytes() +
-         snapshot.tags->HeapBytes();
+         snapshot.regions->HeapBytes() + snapshot.values->HeapBytes();
 }
 
 /// Baseline: what Database::LoadDocument does — parse the XML text and build
@@ -62,12 +59,10 @@ void BM_ParseAndBuild(benchmark::State& state) {
         storage::SuccinctDocument::Build(*doc);
     storage::RegionIndex regions(*doc);
     storage::ValueIndex values(*doc);
-    storage::TagDictionary tags(*doc);
     nodes = doc->NodeCount();
     benchmark::DoNotOptimize(succinct.NodeCount());
-    benchmark::DoNotOptimize(regions.elements().size());
+    benchmark::DoNotOptimize(regions.EndSpan().size());
     benchmark::DoNotOptimize(values.size());
-    benchmark::DoNotOptimize(tags.DistinctElementNames());
   }
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["xml_bytes"] = static_cast<double>(text.size());
@@ -119,8 +114,9 @@ void BM_OpenAndFirstQuery(benchmark::State& state) {
       return;
     }
     size_t hits = 0;
-    const auto& elements = snapshot->regions->elements();
-    for (const auto& region : elements) hits += region.level == 2;
+    for (const uint32_t level : snapshot->regions->LevelSpan()) {
+      hits += level == 2;
+    }
     benchmark::DoNotOptimize(hits);
   }
 }

@@ -60,7 +60,7 @@ void BM_BuildRegionIndex(benchmark::State& state) {
   const LoadedDoc& doc = AuctionDoc(permille);
   for (auto _ : state) {
     storage::RegionIndex index(*doc.dom);
-    benchmark::DoNotOptimize(index.elements().size());
+    benchmark::DoNotOptimize(index.EndSpan().size());
   }
   const double nodes = static_cast<double>(doc.dom->NodeCount());
   state.counters["region_bytes_per_node"] =

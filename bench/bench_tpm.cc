@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <span>
+
 #include "bench_util.h"
 #include "xmlq/exec/hybrid.h"
 #include "xmlq/exec/naive_nav.h"
@@ -119,16 +122,16 @@ void BM_NokScanMode(benchmark::State& state, bool localized, int permille) {
   const xpath::NokPartition partition = xpath::PartitionNok(pattern);
   const xpath::NokPart& part = partition.parts.back();
   const algebra::VertexId requested[] = {pattern.SoleOutput()};
-  std::vector<uint32_t> candidates;
+  std::optional<std::span<const uint32_t>> candidates;
   if (localized) {
-    const auto stream = doc.regions->ElementStream(
-        doc.dom->pool().Find(pattern.vertex(part.head).label));
-    for (const storage::Region& r : stream) candidates.push_back(r.start);
+    candidates = doc.regions->Postings(
+        doc.dom->pool().Find(pattern.vertex(part.head).label),
+        /*attribute=*/false);
   }
   size_t results = 0;
   for (auto _ : state) {
     auto result = exec::MatchNokPart(*doc.succinct, pattern, part, requested,
-                                     localized ? &candidates : nullptr);
+                                     candidates);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

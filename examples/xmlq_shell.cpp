@@ -239,18 +239,16 @@ int main() {
         continue;
       }
       std::printf("nodes %zu | dom %zu B | succinct %zu B (structure %zu) | "
-                  "regions %zu B | values %zu B | tags %zu B\n",
+                  "regions %zu B | values %zu B\n",
                   report->node_count, report->dom_bytes,
                   report->succinct_structure_bytes +
                       report->succinct_content_bytes,
                   report->succinct_structure_bytes,
-                  report->region_index_bytes, report->value_index_bytes,
-                  report->tag_dictionary_bytes);
+                  report->region_index_bytes, report->value_index_bytes);
       std::printf("owned heap: succinct %zu B | regions %zu B | "
-                  "values %zu B | tags %zu B\n",
+                  "values %zu B\n",
                   report->succinct_heap_bytes, report->region_index_heap_bytes,
-                  report->value_index_heap_bytes,
-                  report->tag_dictionary_heap_bytes);
+                  report->value_index_heap_bytes);
       if (report->from_snapshot) {
         std::printf("snapshot: %s, file %zu B\n",
                     report->mapped ? "mmap (zero-copy)" : "copied",

@@ -59,7 +59,6 @@ Status Database::RegisterDocument(std::string name,
   XMLQ_ASSIGN_OR_RETURN(storage::ValueIndex values,
                         storage::ValueIndex::TryBuild(*entry->dom));
   entry->values = std::make_unique<storage::ValueIndex>(std::move(values));
-  entry->tags = std::make_unique<storage::TagDictionary>(*entry->dom);
   entry->synopsis =
       std::make_unique<opt::Synopsis>(*entry->dom, entry->values.get());
   entry->view = exec::IndexedDocument{entry->dom.get(), entry->succinct.get(),
@@ -75,7 +74,6 @@ std::shared_ptr<Database::Entry> Database::EntryFromSnapshot(
   entry->succinct = std::move(snapshot.succinct);
   entry->regions = std::move(snapshot.regions);
   entry->values = std::move(snapshot.values);
-  entry->tags = std::move(snapshot.tags);
   entry->backing = std::move(snapshot.backing);
   // The synopsis is a small derived statistic; rebuilding it from the
   // restored DOM keeps it out of the file format.
@@ -126,7 +124,7 @@ Result<storage::SnapshotWriteInfo> Database::Save(
                             "\" is not loaded");
   }
   return storage::WriteSnapshot(path, *entry->dom, *entry->succinct,
-                                *entry->regions, *entry->values, *entry->tags);
+                                *entry->regions, *entry->values);
 }
 
 // -- Durable store ----------------------------------------------------------
@@ -455,7 +453,7 @@ Status Database::Persist(std::string_view name) {
   XMLQ_ASSIGN_OR_RETURN(
       storage::SnapshotWriteInfo info,
       storage::WriteSnapshot(path, *entry->dom, *entry->succinct,
-                             *entry->regions, *entry->values, *entry->tags));
+                             *entry->regions, *entry->values));
   XMLQ_CRASH_POINT("persist.snapshot_written");
   std::string old_file;
   if (const auto it = manifest_->entries().find(doc_name);
@@ -1709,12 +1707,10 @@ Result<StorageReport> Database::Report(std::string_view name) const {
   report.succinct_content_bytes = entry->succinct->ContentBytes();
   report.region_index_bytes = entry->regions->MemoryUsage();
   report.value_index_bytes = entry->values->MemoryUsage();
-  report.tag_dictionary_bytes = entry->tags->HeapBytes();
   report.node_count = entry->dom->NodeCount();
   report.succinct_heap_bytes = entry->succinct->HeapBytes();
   report.region_index_heap_bytes = entry->regions->HeapBytes();
   report.value_index_heap_bytes = entry->values->HeapBytes();
-  report.tag_dictionary_heap_bytes = entry->tags->HeapBytes();
   if (entry->backing != nullptr) {
     report.from_snapshot = true;
     report.mapped =

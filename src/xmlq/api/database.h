@@ -22,7 +22,6 @@
 #include "xmlq/storage/region_index.h"
 #include "xmlq/storage/snapshot.h"
 #include "xmlq/storage/succinct_doc.h"
-#include "xmlq/storage/tag_dictionary.h"
 #include "xmlq/storage/value_index.h"
 #include "xmlq/xml/document.h"
 #include "xmlq/xml/parser.h"
@@ -75,13 +74,14 @@ struct StorageReport {
   size_t succinct_content_bytes = 0;
   size_t region_index_bytes = 0;
   size_t value_index_bytes = 0;
+  /// Always 0: per-tag counts are the region index's posting fences,
+  /// counted in `region_index_bytes`. Kept because footprint totals add it.
   size_t tag_dictionary_bytes = 0;
   size_t node_count = 0;
   // Per-component owned-heap breakdown (satellite of the snapshot store).
   size_t succinct_heap_bytes = 0;
   size_t region_index_heap_bytes = 0;
   size_t value_index_heap_bytes = 0;
-  size_t tag_dictionary_heap_bytes = 0;
   // Snapshot backing, when the document came from Database::Open.
   bool from_snapshot = false;
   bool mapped = false;
@@ -433,7 +433,6 @@ class Database {
     std::unique_ptr<storage::SuccinctDocument> succinct;
     std::unique_ptr<storage::RegionIndex> regions;
     std::unique_ptr<storage::ValueIndex> values;
-    std::unique_ptr<storage::TagDictionary> tags;
     std::unique_ptr<opt::Synopsis> synopsis;
     /// Snapshot bytes the components borrow from (Database::Open only).
     /// Destruction order is irrelevant: component destructors never touch

@@ -94,7 +94,7 @@ Result<NodeList> HybridMatch(const IndexedDocument& doc,
   }
 
   // Match every part. Labeled heads use the localized navigational scan
-  // seeded from the per-tag stream (the paper's "jump then navigate");
+  // seeded from the head's posting list (the paper's "jump then navigate");
   // wildcard or root heads fall back to the single whole-document pass.
   std::vector<NokMatchResult> matched(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
@@ -109,20 +109,14 @@ Result<NodeList> HybridMatch(const IndexedDocument& doc,
       matched[p] = std::move(trivial);
       continue;
     }
-    std::vector<uint32_t> candidates;
-    const std::vector<uint32_t>* candidates_ptr = nullptr;
+    std::optional<std::span<const uint32_t>> candidates;
     if (!head.is_root && head.label != "*") {
-      const xml::NameId name = doc.dom->pool().Find(head.label);
-      const auto stream = head.is_attribute
-                              ? doc.regions->AttributeStream(name)
-                              : doc.regions->ElementStream(name);
-      candidates.reserve(stream.size());
-      for (const storage::Region& r : stream) candidates.push_back(r.start);
-      candidates_ptr = &candidates;
-      if (stats != nullptr) stats->index_probes += stream.size();
+      candidates = doc.regions->Postings(doc.dom->pool().Find(head.label),
+                                         head.is_attribute);
+      if (stats != nullptr) stats->index_probes += candidates->size();
     }
     auto result = MatchNokPart(*doc.succinct, pattern, partition.parts[p],
-                               requested[p], candidates_ptr, guard, stats);
+                               requested[p], candidates, guard, stats);
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kUnsupported) {
         // e.g. following-sibling arcs

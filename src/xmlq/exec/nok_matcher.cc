@@ -417,13 +417,11 @@ Status MatchSingleVertexCandidates(const SuccinctDocument& doc,
 
 }  // namespace
 
-Result<NokMatchResult> MatchNokPart(const SuccinctDocument& doc,
-                                    const PatternGraph& graph,
-                                    const NokPart& part,
-                                    std::span<const VertexId> requested,
-                                    const std::vector<uint32_t>* head_candidates,
-                                    const ResourceGuard* guard,
-                                    OpStats* stats) {
+Result<NokMatchResult> MatchNokPart(
+    const SuccinctDocument& doc, const PatternGraph& graph,
+    const NokPart& part, std::span<const VertexId> requested,
+    std::optional<std::span<const uint32_t>> head_candidates,
+    const ResourceGuard* guard, OpStats* stats) {
   XMLQ_ASSIGN_OR_RETURN(CompiledPart compiled,
                         Compile(doc, graph, part, requested));
   if (compiled.never_matches) {
@@ -433,7 +431,7 @@ Result<NokMatchResult> MatchNokPart(const SuccinctDocument& doc,
     return empty;
   }
   Scanner scanner(doc, graph, compiled, requested.size(), guard, stats);
-  if (head_candidates != nullptr) {
+  if (head_candidates.has_value()) {
     if (part.vertices.size() == 1) {
       NokMatchResult out;
       XMLQ_RETURN_IF_ERROR(MatchSingleVertexCandidates(
@@ -465,7 +463,7 @@ Result<NodeList> MatchNokPattern(const SuccinctDocument& doc,
   const VertexId requested[] = {output};
   XMLQ_ASSIGN_OR_RETURN(NokMatchResult result,
                         MatchNokPart(doc, graph, partition.parts[0], requested,
-                                     nullptr, guard, stats));
+                                     std::nullopt, guard, stats));
   return std::move(result.bindings[0]);
 }
 

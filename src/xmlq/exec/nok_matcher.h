@@ -1,6 +1,7 @@
 #ifndef XMLQ_EXEC_NOK_MATCHER_H_
 #define XMLQ_EXEC_NOK_MATCHER_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,13 +47,13 @@ struct NokMatchResult {
 /// Returns kUnsupported if the part contains a following-sibling arc (not
 /// produced by the XPath compiler) or more than 64 vertices.
 ///
-/// When `head_candidates` is non-null, the scan is *localized*: instead of
+/// When `head_candidates` is given, the scan is *localized*: instead of
 /// one pass over the whole document, each candidate's subtree is scanned
 /// with the head anchored at the subtree root (the paper's navigational
-/// evaluation — jump to a candidate via the tag stream, then verify the NoK
+/// evaluation — jump to a candidate via its posting list, then verify the NoK
 /// pattern by local navigation). Candidates must be pre-order ranks in
 /// document order, and must include every node the head could match (the
-/// per-tag stream from the region index is exactly that).
+/// name's posting list in the region index is exactly that).
 /// `guard` (optional) is ticked once per scanned node; on a trip the scan
 /// aborts and the guard's sticky status is returned.
 ///
@@ -65,7 +66,7 @@ struct NokMatchResult {
 Result<NokMatchResult> MatchNokPart(
     const storage::SuccinctDocument& doc, const algebra::PatternGraph& graph,
     const xpath::NokPart& part, std::span<const algebra::VertexId> requested,
-    const std::vector<uint32_t>* head_candidates = nullptr,
+    std::optional<std::span<const uint32_t>> head_candidates = std::nullopt,
     const ResourceGuard* guard = nullptr, OpStats* stats = nullptr);
 
 /// Convenience wrapper: matches a pattern that is a single NoK part (no

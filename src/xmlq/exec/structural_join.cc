@@ -65,17 +65,23 @@ void StackTreeMerge(std::span<const Region> ancestors,
   }
 }
 
-/// The region-index stream of a non-root vertex's tag (the whole element or
-/// attribute population for `*`).
-std::span<const Region> TagStream(const IndexedDocument& doc,
-                                  const algebra::PatternVertex& vertex) {
-  const storage::RegionIndex& idx = *doc.regions;
-  if (vertex.label == "*") {
-    return vertex.is_attribute ? idx.attributes() : idx.elements();
+/// The NodeIds of a non-root vertex's tag in document order: its posting
+/// list, or for `*` every element (attribute) of the document, found by
+/// scanning the node kinds into `all`.
+std::span<const xml::NodeId> TagPostings(const IndexedDocument& doc,
+                                         const algebra::PatternVertex& vertex,
+                                         std::vector<xml::NodeId>* all) {
+  if (vertex.label != "*") {
+    return doc.regions->Postings(doc.dom->pool().Find(vertex.label),
+                                 vertex.is_attribute);
   }
-  const xml::NameId name = doc.dom->pool().Find(vertex.label);
-  return vertex.is_attribute ? idx.AttributeStream(name)
-                             : idx.ElementStream(name);
+  const xml::NodeKind want = vertex.is_attribute ? xml::NodeKind::kAttribute
+                                                 : xml::NodeKind::kElement;
+  const std::span<const xml::NodeKind> kinds = doc.dom->KindSpan();
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    if (kinds[i] == want) all->push_back(static_cast<xml::NodeId>(i));
+  }
+  return *all;
 }
 
 }  // namespace
@@ -133,15 +139,18 @@ Result<std::vector<Region>> BuildVertexStream(
     if (stats != nullptr) ++stats->index_probes;
     return stream;
   }
-  const std::span<const Region> source = TagStream(doc, vertex);
+  std::vector<xml::NodeId> all;
+  const std::span<const xml::NodeId> source = TagPostings(doc, vertex, &all);
   if (stats != nullptr) stats->index_probes += source.size();
   if (vertex.predicates.empty()) {
-    stream.assign(source.begin(), source.end());
+    stream.resize(source.size());
+    std::transform(source.begin(), source.end(), stream.begin(),
+                   [&idx](xml::NodeId id) { return idx.RegionOf(id); });
     return stream;
   }
-  for (const Region& r : source) {
-    if (EvalVertexPredicates(vertex, *doc.dom, r.start, stats)) {
-      stream.push_back(r);
+  for (const xml::NodeId id : source) {
+    if (EvalVertexPredicates(vertex, *doc.dom, id, stats)) {
+      stream.push_back(idx.RegionOf(id));
     }
   }
   return stream;
@@ -221,7 +230,7 @@ class SeededStreams {
     if (!MatchesNodeTest(vertex, dom, node)) return;
     ++probes_;
     if (EvalVertexPredicates(vertex, dom, node, stats_)) {
-      out->push_back(doc_.regions->RegionOf(node, dom.Name(node)));
+      out->push_back(doc_.regions->RegionOf(node));
     }
   }
 
@@ -260,14 +269,16 @@ class SeededStreams {
     return out;
   }
 
-  /// The entries of `v`'s tag stream inside the regions of `parents` (at
+  /// The entries of `v`'s posting list inside the regions of `parents` (at
   /// the child level for child/attribute arcs), found by binary search.
   /// Parents may nest: a stack of the open ones decides each entry, since
   /// an entry too deep for an outer parent may be a child of an inner one.
   Result<std::vector<Region>> Inside(const std::vector<Region>& parents,
                                      VertexId v) {
     const PatternVertex& vertex = pattern_.vertex(v);
-    const std::span<const Region> tags = TagStream(doc_, vertex);
+    const storage::RegionIndex& idx = *doc_.regions;
+    std::vector<xml::NodeId> all;
+    const std::span<const xml::NodeId> tags = TagPostings(doc_, vertex, &all);
     const bool child_level = vertex.incoming_axis != Axis::kDescendant;
     std::vector<Region> out;
     std::vector<Region> open;  // nesting chain of parents around the cursor
@@ -277,27 +288,24 @@ class SeededStreams {
       if (open.empty()) {
         if (p == parents.size()) break;
         // Jump to the first entry after the next parent starts.
-        t = std::upper_bound(t, tags.end(), parents[p].start,
-                             [](uint32_t start, const Region& r) {
-                               return start < r.start;
-                             });
+        t = std::upper_bound(t, tags.end(), parents[p].start);
         open.push_back(parents[p++]);
         continue;
       }
-      while (p < parents.size() && parents[p].start < t->start) {
+      while (p < parents.size() && parents[p].start < *t) {
         while (!open.empty() && open.back().end < parents[p].start) {
           open.pop_back();
         }
         open.push_back(parents[p++]);
       }
-      while (!open.empty() && open.back().end < t->start) open.pop_back();
+      while (!open.empty() && open.back().end < *t) open.pop_back();
       if (open.empty()) continue;
       XMLQ_GUARD_TICK(guard_, 1);
       ++probes_;
       // The innermost open parent is the only one that can be t's parent.
-      if ((!child_level || open.back().level + 1 == t->level) &&
-          EvalVertexPredicates(vertex, *doc_.dom, t->start, stats_)) {
-        out.push_back(*t);
+      if ((!child_level || open.back().level + 1 == idx.LevelOf(*t)) &&
+          EvalVertexPredicates(vertex, *doc_.dom, *t, stats_)) {
+        out.push_back(idx.RegionOf(*t));
       }
       ++t;
     }
@@ -363,7 +371,7 @@ Result<std::vector<std::vector<Region>>> BuildPatternStreams(
           ? StreamSeed{}
           : ChooseSeed(pattern, *doc.values, doc.dom->pool(),
                        [&idx](xml::NameId name) {
-                         return idx.ElementStream(name).size();
+                         return idx.Postings(name, /*attribute=*/false).size();
                        });
   if (seed.vertex != algebra::kNoVertex) {
     return SeededStreams(doc, pattern, guard, stats).Build(seed);

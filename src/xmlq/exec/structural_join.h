@@ -60,11 +60,11 @@ std::vector<storage::Region> ToRegions(const storage::RegionIndex& index,
                                        const NodeList& nodes,
                                        OpStats* stats = nullptr);
 
-/// Builds the region stream for one pattern vertex: the per-tag stream from
-/// the region index (the whole element/attribute population for `*`), with
-/// the vertex's value predicates applied. The root vertex yields the
-/// document region. Shared by all join-based matchers. Charges one
-/// `index_probes` per stream entry fetched from the region index and the
+/// Builds the region stream for one pattern vertex: the regions of its
+/// name's posting list in the region index (every element or attribute of
+/// the document for `*`), with the vertex's value predicates applied. The
+/// root vertex yields the document region. Shared by all join-based
+/// matchers. Charges one `index_probes` per posting entry fetched and the
 /// predicate-evaluation bytes to `bytes_touched`.
 Result<std::vector<storage::Region>> BuildVertexStream(
     const IndexedDocument& doc, const algebra::PatternVertex& vertex,
@@ -96,13 +96,13 @@ StreamSeed ChooseSeed(const algebra::PatternGraph& pattern,
 /// hits, and every other stream is cut to the nodes that can still embed:
 /// the seed's ancestors in the pattern take the parents (child/attribute
 /// arcs) or ancestors (descendant arcs) of the vertex below, and every
-/// other vertex keeps the tag-stream entries inside its parent's regions
+/// other vertex keeps the posting entries inside its parent's regions
 /// (at the child level for child/attribute arcs). Every entry is checked
 /// against its vertex's node test and predicates, so the index can prune
 /// a result but never add one; the join kernels' results are unchanged.
 /// A seeded build ticks `guard` once per hit and once per probed entry and
 /// charges one `index_probes` per region it fetches: each hit, each
-/// ancestor candidate that passes its node test, and each tag-stream entry
+/// ancestor candidate that passes its node test, and each posting entry
 /// read inside the parent regions (plus the document region).
 Result<std::vector<std::vector<storage::Region>>> BuildPatternStreams(
     const IndexedDocument& doc, const algebra::PatternGraph& pattern,

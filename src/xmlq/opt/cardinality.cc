@@ -64,7 +64,13 @@ double CountMatches(const storage::ValueIndex& values, xml::NameId name,
     case CompareOp::kEq:
       return range(*v, true, *v, true);
     case CompareOp::kNe:
-      return range(-kInf, true, kInf, true) - range(*v, true, *v, true);
+      // Under CompareGeneral every value but the equal ones differs: NaN
+      // and text that does not parse included. Under kNumber such text
+      // matches no operator.
+      return (pred.typing == algebra::ValueTyping::kNumber
+                  ? range(-kInf, true, kInf, true)
+                  : population) -
+             range(*v, true, *v, true);
     case CompareOp::kLt:
     case CompareOp::kLe:
       return range(-kInf, true, *v, pred.op == CompareOp::kLe);

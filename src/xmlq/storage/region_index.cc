@@ -1,6 +1,5 @@
 #include "xmlq/storage/region_index.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -17,45 +16,43 @@ Result<RegionIndex> RegionIndex::TryBuild(const xml::Document& doc) {
 }
 
 RegionIndex RegionIndex::FromExternal(
-    Region document, std::span<const uint32_t> end,
-    std::span<const uint32_t> level, std::span<const Region> elements,
-    std::span<const Region> attributes,
-    std::span<const Region> element_streams,
+    std::span<const uint32_t> end, std::span<const uint32_t> level,
+    std::span<const xml::NodeId> element_postings,
     std::span<const uint32_t> element_offsets,
-    std::span<const Region> attribute_streams,
+    std::span<const xml::NodeId> attribute_postings,
     std::span<const uint32_t> attribute_offsets) {
   RegionIndex out;
-  out.document_ = document;
   out.end_ = ArrayRef<uint32_t>::View(end);
   out.level_ = ArrayRef<uint32_t>::View(level);
-  out.elements_ = ArrayRef<Region>::View(elements);
-  out.attributes_ = ArrayRef<Region>::View(attributes);
-  out.element_streams_ = ArrayRef<Region>::View(element_streams);
-  out.element_offsets_ = ArrayRef<uint32_t>::View(element_offsets);
-  out.attribute_streams_ = ArrayRef<Region>::View(attribute_streams);
-  out.attribute_offsets_ = ArrayRef<uint32_t>::View(attribute_offsets);
+  out.elements_.ids = ArrayRef<xml::NodeId>::View(element_postings);
+  out.elements_.offsets = ArrayRef<uint32_t>::View(element_offsets);
+  out.attributes_.ids = ArrayRef<xml::NodeId>::View(attribute_postings);
+  out.attributes_.offsets = ArrayRef<uint32_t>::View(attribute_offsets);
   return out;
 }
 
 namespace {
 
-/// Builds the grouped per-name streams: counting sort by NameId, preserving
-/// document order inside each group.
-void BuildStreams(std::span<const Region> regions, size_t name_count,
-                  std::vector<Region>* grouped,
-                  std::vector<uint32_t>* offsets) {
-  offsets->assign(name_count + 1, 0);
-  for (const Region& r : regions) {
-    if (r.name != xml::kInvalidName) ++(*offsets)[r.name + 1];
+/// Groups the named nodes of `kind` by name: a counting sort by NameId,
+/// which keeps document order inside each posting list.
+void BuildPostings(const xml::Document& doc, xml::NodeKind kind,
+                   std::vector<xml::NodeId>* ids,
+                   std::vector<uint32_t>* offsets) {
+  const size_t n = doc.NodeCount();
+  const auto listed = [&](xml::NodeId i) {
+    return doc.Kind(i) == kind && doc.Name(i) != xml::kInvalidName;
+  };
+  offsets->assign(doc.pool().size() + 1, 0);
+  for (xml::NodeId i = 0; i < n; ++i) {
+    if (listed(i)) ++(*offsets)[doc.Name(i) + 1];
   }
   for (size_t i = 1; i < offsets->size(); ++i) {
     (*offsets)[i] += (*offsets)[i - 1];
   }
-  grouped->resize(regions.size());
+  ids->resize(offsets->back());
   std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
-  for (const Region& r : regions) {
-    if (r.name == xml::kInvalidName) continue;
-    (*grouped)[cursor[r.name]++] = r;
+  for (xml::NodeId i = 0; i < n; ++i) {
+    if (listed(i)) (*ids)[cursor[doc.Name(i)]++] = i;
   }
 }
 
@@ -79,65 +76,42 @@ RegionIndex::RegionIndex(const xml::Document& doc) {
   for (xml::NodeId i = 1; i < n; ++i) {
     level[i] = level[doc.Parent(i)] + 1;
   }
-  document_ = Region{0, end[0], 0, xml::kInvalidName};
-  std::vector<Region> elements;
-  std::vector<Region> attributes;
-  for (xml::NodeId i = 0; i < n; ++i) {
-    if (doc.Kind(i) == xml::NodeKind::kElement) {
-      elements.push_back(Region{i, end[i], level[i], doc.Name(i)});
-    } else if (doc.Kind(i) == xml::NodeKind::kAttribute) {
-      attributes.push_back(Region{i, i, level[i], doc.Name(i)});
-    }
-  }
-  const size_t name_count = doc.pool().size();
-  std::vector<Region> element_streams;
-  std::vector<uint32_t> element_offsets;
-  std::vector<Region> attribute_streams;
-  std::vector<uint32_t> attribute_offsets;
-  BuildStreams(elements, name_count, &element_streams, &element_offsets);
-  BuildStreams(attributes, name_count, &attribute_streams, &attribute_offsets);
   end_.Assign(std::move(end));
   level_.Assign(std::move(level));
-  elements_.Assign(std::move(elements));
-  attributes_.Assign(std::move(attributes));
-  element_streams_.Assign(std::move(element_streams));
-  element_offsets_.Assign(std::move(element_offsets));
-  attribute_streams_.Assign(std::move(attribute_streams));
-  attribute_offsets_.Assign(std::move(attribute_offsets));
+  for (const bool attribute : {false, true}) {
+    std::vector<xml::NodeId> ids;
+    std::vector<uint32_t> offsets;
+    BuildPostings(doc,
+                  attribute ? xml::NodeKind::kAttribute
+                            : xml::NodeKind::kElement,
+                  &ids, &offsets);
+    Family& family = attribute ? attributes_ : elements_;
+    family.ids.Assign(std::move(ids));
+    family.offsets.Assign(std::move(offsets));
+  }
 }
 
-std::span<const Region> RegionIndex::ElementStream(xml::NameId name) const {
-  if (name == xml::kInvalidName || name + 1 >= element_offsets_.size()) {
+std::span<const xml::NodeId> RegionIndex::Postings(xml::NameId name,
+                                                   bool attribute) const {
+  const Family& family = FamilyFor(attribute);
+  if (name == xml::kInvalidName || name + 1 >= family.offsets.size()) {
     return {};
   }
-  return element_streams_.span().subspan(
-      element_offsets_[name],
-      element_offsets_[name + 1] - element_offsets_[name]);
-}
-
-std::span<const Region> RegionIndex::AttributeStream(xml::NameId name) const {
-  if (name == xml::kInvalidName || name + 1 >= attribute_offsets_.size()) {
-    return {};
-  }
-  return attribute_streams_.span().subspan(
-      attribute_offsets_[name],
-      attribute_offsets_[name + 1] - attribute_offsets_[name]);
+  return family.ids.span().subspan(
+      family.offsets[name], family.offsets[name + 1] - family.offsets[name]);
 }
 
 size_t RegionIndex::MemoryUsage() const {
-  return (elements_.size() + attributes_.size() + element_streams_.size() +
-          attribute_streams_.size()) *
-             sizeof(Region) +
-         (element_offsets_.size() + attribute_offsets_.size() + end_.size() +
-          level_.size()) *
-             sizeof(uint32_t);
+  return (end_.size() + level_.size() + elements_.ids.size() +
+          elements_.offsets.size() + attributes_.ids.size() +
+          attributes_.offsets.size()) *
+         sizeof(uint32_t);
 }
 
 size_t RegionIndex::HeapBytes() const {
-  return end_.OwnedBytes() + level_.OwnedBytes() + elements_.OwnedBytes() +
-         attributes_.OwnedBytes() + element_streams_.OwnedBytes() +
-         attribute_streams_.OwnedBytes() + element_offsets_.OwnedBytes() +
-         attribute_offsets_.OwnedBytes();
+  return end_.OwnedBytes() + level_.OwnedBytes() +
+         elements_.ids.OwnedBytes() + elements_.offsets.OwnedBytes() +
+         attributes_.ids.OwnedBytes() + attributes_.offsets.OwnedBytes();
 }
 
 }  // namespace xmlq::storage

@@ -16,11 +16,11 @@ namespace xmlq::storage {
 /// `level` the depth. Containment test:
 ///   u ancestor-of v   <=>  u.start < v.start && v.start <= u.end
 ///   u parent-of v     <=>  ancestor && u.level + 1 == v.level
+/// A computed value (RegionIndex::RegionOf); the index stores no Regions.
 struct Region {
   uint32_t start = 0;
   uint32_t end = 0;
   uint32_t level = 0;
-  xml::NameId name = xml::kInvalidName;
 
   bool Contains(const Region& v) const {
     return start < v.start && v.start <= end;
@@ -29,14 +29,15 @@ struct Region {
     return Contains(v) && level + 1 == v.level;
   }
 };
-static_assert(sizeof(Region) == 16, "serialized layout");
 
 /// The extended-relational representation of an XML document (paper §1,
-/// baseline [1]): elements and attributes shredded into interval-encoded
-/// tuples, clustered into one sorted stream per tag name — exactly the
-/// inputs that structural joins [12] and holistic twig joins [13] consume.
+/// baseline [1]): per-node subtree-end and depth arrays, so any node's
+/// region is two array reads, plus one posting list per element or
+/// attribute name — the NodeIds carrying that name in document order, which
+/// structural joins [12] and holistic twig joins [13] turn into region
+/// streams.
 ///
-/// All eight arrays live in ArrayRef storage, so an index can be opened
+/// All six arrays live in ArrayRef storage, so an index can be opened
 /// zero-copy over the region sections of an mmap'd snapshot (FromExternal).
 class RegionIndex {
  public:
@@ -51,39 +52,30 @@ class RegionIndex {
   static Result<RegionIndex> TryBuild(const xml::Document& doc);
 
   /// Adopts externally owned arrays (mapped snapshot sections); the memory
-  /// must outlive the index. Callers validate sizes and offset fences (see
-  /// snapshot_reader).
-  static RegionIndex FromExternal(Region document,
-                                  std::span<const uint32_t> end,
-                                  std::span<const uint32_t> level,
-                                  std::span<const Region> elements,
-                                  std::span<const Region> attributes,
-                                  std::span<const Region> element_streams,
-                                  std::span<const uint32_t> element_offsets,
-                                  std::span<const Region> attribute_streams,
-                                  std::span<const uint32_t> attribute_offsets);
+  /// must outlive the index. Callers validate sizes, postings and offset
+  /// fences (see snapshot_reader).
+  static RegionIndex FromExternal(
+      std::span<const uint32_t> end, std::span<const uint32_t> level,
+      std::span<const xml::NodeId> element_postings,
+      std::span<const uint32_t> element_offsets,
+      std::span<const xml::NodeId> attribute_postings,
+      std::span<const uint32_t> attribute_offsets);
 
-  /// All element regions in document order.
-  std::span<const Region> elements() const { return elements_.span(); }
-  /// All attribute regions in document order (level = owner level + 1;
-  /// start == end == the attribute's NodeId).
-  std::span<const Region> attributes() const { return attributes_.span(); }
-
-  /// Elements named `name` in document order (empty span for unknown tags).
-  std::span<const Region> ElementStream(xml::NameId name) const;
-  /// Attributes named `name` in document order.
-  std::span<const Region> AttributeStream(xml::NameId name) const;
+  /// The elements (or attributes) named `name` in document order; empty for
+  /// unknown names.
+  std::span<const xml::NodeId> Postings(xml::NameId name,
+                                        bool attribute) const;
 
   /// The region of the document node (start 0, spanning everything).
-  Region DocumentRegion() const { return document_; }
+  Region DocumentRegion() const { return RegionOf(0); }
 
   /// Largest NodeId in the subtree of `id` (any node kind).
   uint32_t EndOf(xml::NodeId id) const { return end_[id]; }
   /// Depth of `id` (document node = 0).
   uint32_t LevelOf(xml::NodeId id) const { return level_[id]; }
-  /// The full region of an arbitrary node.
-  Region RegionOf(xml::NodeId id, xml::NameId name = xml::kInvalidName) const {
-    return Region{id, end_[id], level_[id], name};
+  /// The region of an arbitrary node (an attribute's is [id, id]).
+  Region RegionOf(xml::NodeId id) const {
+    return Region{id, end_[id], level_[id]};
   }
 
   /// Bytes referenced (owned or borrowed).
@@ -95,30 +87,27 @@ class RegionIndex {
 
   std::span<const uint32_t> EndSpan() const { return end_.span(); }
   std::span<const uint32_t> LevelSpan() const { return level_.span(); }
-  std::span<const Region> ElementStreamsSpan() const {
-    return element_streams_.span();
+  std::span<const xml::NodeId> PostingSpan(bool attribute) const {
+    return FamilyFor(attribute).ids.span();
   }
-  std::span<const uint32_t> ElementOffsetSpan() const {
-    return element_offsets_.span();
-  }
-  std::span<const Region> AttributeStreamsSpan() const {
-    return attribute_streams_.span();
-  }
-  std::span<const uint32_t> AttributeOffsetSpan() const {
-    return attribute_offsets_.span();
+  std::span<const uint32_t> PostingOffsetSpan(bool attribute) const {
+    return FamilyFor(attribute).offsets.span();
   }
 
  private:
-  Region document_;
+  /// The posting lists of one node kind, grouped per name.
+  struct Family {
+    ArrayRef<xml::NodeId> ids;  // per name, document order
+    ArrayRef<uint32_t> offsets;  // indexed by NameId, size+1 fence
+  };
+  const Family& FamilyFor(bool attribute) const {
+    return attribute ? attributes_ : elements_;
+  }
+
   ArrayRef<uint32_t> end_;    // per NodeId
   ArrayRef<uint32_t> level_;  // per NodeId
-  ArrayRef<Region> elements_;    // document order
-  ArrayRef<Region> attributes_;  // document order
-  // Per-name copies grouped contiguously; lookup via offsets.
-  ArrayRef<Region> element_streams_;
-  ArrayRef<uint32_t> element_offsets_;  // indexed by NameId, size+1 fence
-  ArrayRef<Region> attribute_streams_;
-  ArrayRef<uint32_t> attribute_offsets_;
+  Family elements_;
+  Family attributes_;
 };
 
 }  // namespace xmlq::storage

@@ -10,7 +10,6 @@
 #include "xmlq/base/status.h"
 #include "xmlq/storage/region_index.h"
 #include "xmlq/storage/succinct_doc.h"
-#include "xmlq/storage/tag_dictionary.h"
 #include "xmlq/storage/value_index.h"
 #include "xmlq/xml/document.h"
 
@@ -20,8 +19,8 @@ namespace xmlq::storage {
 ///
 /// A snapshot serializes every physical representation of one loaded
 /// document — DOM arena, succinct structure (balanced parentheses +
-/// rank/select directories), content store, region index, value index and
-/// tag dictionary — as individually CRC32-checksummed sections behind a
+/// rank/select directories), content store, region index and value index —
+/// as individually CRC32-checksummed sections behind a
 /// magic/version header. Every payload starts on a 64-byte boundary with
 /// zero padding in between, so an mmap'd file can back the succinct
 /// structures directly (zero-copy open); integers are little-endian host
@@ -42,7 +41,7 @@ namespace xmlq::storage {
 /// transfer mangling, the same trick as the PNG signature.
 inline constexpr char kSnapshotMagic[8] = {'X', 'Q', 'P', 'A',
                                            'C', 'K', '\r', '\n'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 struct SnapshotHeader {
   char magic[8];
@@ -91,11 +90,9 @@ enum class SectionId : uint32_t {
   kContentBuffer,         // char[] concatenated content strings
   kRegionEnds,            // u32[n] subtree-end per NodeId
   kRegionLevels,          // u32[n] depth per NodeId
-  kRegionElements,        // Region[] document order
-  kRegionAttributes,      // Region[] document order
-  kRegionElementStreams,  // Region[] grouped per tag name
-  kRegionElementOffsets,  // u32[name_count+1] fence
-  kRegionAttributeStreams,
+  kRegionElementPostings,  // u32[] element NodeIds grouped per name
+  kRegionElementOffsets,   // u32[name_count+1] fence
+  kRegionAttributePostings,
   kRegionAttributeOffsets,
   kValueElementEntries,  // ValueIndex::PackedEntry[]
   kValueElementOffsets,  // u32[name_count+1] fence
@@ -105,10 +102,8 @@ enum class SectionId : uint32_t {
   kValueAttributeOffsets,
   kValueAttributeNumeric,
   kValueAttributeNumericOffsets,
-  kTagElementCounts,    // u32[<= name_count]
-  kTagAttributeCounts,  // u32[<= name_count]
 };
-inline constexpr uint32_t kSnapshotSectionCount = 37;
+inline constexpr uint32_t kSnapshotSectionCount = 33;
 
 /// Human-readable section name for error messages and stats ("node_kinds",
 /// "bp_words", ...); "?" for unknown ids.
@@ -172,7 +167,6 @@ struct OpenedSnapshot {
   std::unique_ptr<SuccinctDocument> succinct;
   std::unique_ptr<RegionIndex> regions;
   std::unique_ptr<ValueIndex> values;
-  std::unique_ptr<TagDictionary> tags;
   std::unique_ptr<SnapshotBacking> backing;
 };
 
@@ -182,8 +176,7 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
                                         const xml::Document& doc,
                                         const SuccinctDocument& succinct,
                                         const RegionIndex& regions,
-                                        const ValueIndex& values,
-                                        const TagDictionary& tags);
+                                        const ValueIndex& values);
 
 /// Opens a snapshot file. kMap points the succinct structures straight at
 /// the mapping; kCopy reads the file into an aligned heap buffer first.

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -375,28 +376,44 @@ Status VerifyFence(const Layout& layout, SectionId id, size_t name_count,
   return Status::Ok();
 }
 
-/// Validates one region array: every entry must be the canonical region of
-/// its start node (pinned to the ends/levels/names arrays), with the right
-/// node kind — so stream scans and joins can never index out of bounds.
-Status VerifyRegions(const Layout& layout, SectionId id,
-                     std::span<const Region> entries,
-                     std::span<const uint8_t> kinds,
-                     std::span<const xml::NameId> names,
-                     std::span<const uint32_t> ends,
-                     std::span<const uint32_t> levels,
-                     xml::NodeKind want_kind) {
-  const size_t n = kinds.size();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Region& r = entries[i];
-    const bool attr = want_kind == xml::NodeKind::kAttribute;
-    if (r.start >= n ||
-        static_cast<xml::NodeKind>(kinds[r.start]) != want_kind ||
-        r.end != (attr ? r.start : ends[r.start]) ||
-        r.level != levels[r.start] || r.name != names[r.start]) {
-      return layout.Err(id, "region " + std::to_string(i) +
-                                " does not describe a valid " +
-                                std::string(xml::NodeKindName(want_kind)) +
-                                " node");
+/// Validates one node kind's posting lists: each entry is a node of
+/// `want_kind` carrying its list's name, each list is strictly ascending,
+/// and the lists together hold exactly the nodes of that kind — so a
+/// posting list is the document-ordered population of its name, and
+/// RegionOf over it never indexes out of bounds.
+Status VerifyPostings(const Layout& layout, SectionId id, SectionId fence_id,
+                      size_t name_count, std::span<const uint8_t> kinds,
+                      std::span<const xml::NameId> names,
+                      xml::NodeKind want_kind) {
+  XMLQ_RETURN_IF_ERROR(layout.ElementSized(id, sizeof(xml::NodeId)));
+  XMLQ_RETURN_IF_ERROR(layout.ElementSized(fence_id, sizeof(uint32_t)));
+  const auto postings = layout.Typed<xml::NodeId>(id);
+  const size_t kind_nodes = static_cast<size_t>(
+      std::count(kinds.begin(), kinds.end(), static_cast<uint8_t>(want_kind)));
+  if (postings.size() != kind_nodes) {
+    return layout.Err(id, "postings hold " + std::to_string(postings.size()) +
+                              " entries, but the document has " +
+                              std::to_string(kind_nodes) + " " +
+                              std::string(xml::NodeKindName(want_kind)) +
+                              " nodes");
+  }
+  XMLQ_RETURN_IF_ERROR(
+      VerifyFence(layout, fence_id, name_count, postings.size()));
+  const auto fence = layout.Typed<uint32_t>(fence_id);
+  for (size_t name = 0, i = 0; name < name_count; ++name) {
+    for (; i < fence[name + 1]; ++i) {
+      const xml::NodeId node = postings[i];
+      if (node >= kinds.size() ||
+          static_cast<xml::NodeKind>(kinds[node]) != want_kind ||
+          names[node] != name) {
+        return layout.Err(id, "posting " + std::to_string(i) +
+                                  " references a node past the node count "
+                                  "or of another name or kind");
+      }
+      if (i > fence[name] && node <= postings[i - 1]) {
+        return layout.Err(id, "posting " + std::to_string(i) +
+                                  " is out of order");
+      }
     }
   }
   return Status::Ok();
@@ -531,11 +548,19 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
   }
   const auto ends = layout.Typed<uint32_t>(SectionId::kRegionEnds);
   const auto levels = layout.Typed<uint32_t>(SectionId::kRegionLevels);
+  // Every region the join engines read is RegionOf(id), so each stored end
+  // must be the node's real subtree end, recomputed from the parent links.
+  std::vector<uint32_t> subtree_end(n);
+  for (size_t i = 0; i < n; ++i) subtree_end[i] = static_cast<uint32_t>(i);
+  for (size_t i = n; i-- > 1;) {
+    subtree_end[parents[i]] =
+        std::max(subtree_end[parents[i]], subtree_end[i]);
+  }
   for (size_t i = 0; i < n; ++i) {
-    if (ends[i] < i || ends[i] >= n) {
+    if (ends[i] != subtree_end[i]) {
       return layout.Err(SectionId::kRegionEnds,
                         "subtree end of node " + std::to_string(i) +
-                            " is out of range");
+                            " disagrees with the parent links");
     }
     const uint32_t expected_level =
         i == 0 ? 0 : levels[parents[i]] + 1;  // parents[i] < i, validated
@@ -545,59 +570,14 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                             " disagrees with its parent");
     }
   }
-  size_t element_nodes = 0;
-  size_t attribute_nodes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (static_cast<xml::NodeKind>(kinds[i]) == xml::NodeKind::kElement) {
-      ++element_nodes;
-    } else if (static_cast<xml::NodeKind>(kinds[i]) ==
-               xml::NodeKind::kAttribute) {
-      ++attribute_nodes;
-    }
-  }
-  for (const SectionId id :
-       {SectionId::kRegionElements, SectionId::kRegionAttributes,
-        SectionId::kRegionElementStreams,
-        SectionId::kRegionAttributeStreams}) {
-    XMLQ_RETURN_IF_ERROR(layout.ElementSized(id, sizeof(Region)));
-  }
-  const auto region_elements = layout.Typed<Region>(SectionId::kRegionElements);
-  const auto region_attributes =
-      layout.Typed<Region>(SectionId::kRegionAttributes);
-  const auto element_streams =
-      layout.Typed<Region>(SectionId::kRegionElementStreams);
-  const auto attribute_streams =
-      layout.Typed<Region>(SectionId::kRegionAttributeStreams);
-  if (region_elements.size() != element_nodes ||
-      element_streams.size() != element_nodes) {
-    return layout.Err(SectionId::kRegionElements,
-                      "element region count does not match the node kinds");
-  }
-  if (region_attributes.size() != attribute_nodes ||
-      attribute_streams.size() != attribute_nodes) {
-    return layout.Err(SectionId::kRegionAttributes,
-                      "attribute region count does not match the node kinds");
-  }
-  XMLQ_RETURN_IF_ERROR(VerifyRegions(layout, SectionId::kRegionElements,
-                                     region_elements, kinds, names, ends,
-                                     levels, xml::NodeKind::kElement));
-  XMLQ_RETURN_IF_ERROR(VerifyRegions(layout, SectionId::kRegionAttributes,
-                                     region_attributes, kinds, names, ends,
-                                     levels, xml::NodeKind::kAttribute));
-  XMLQ_RETURN_IF_ERROR(VerifyRegions(layout, SectionId::kRegionElementStreams,
-                                     element_streams, kinds, names, ends,
-                                     levels, xml::NodeKind::kElement));
-  XMLQ_RETURN_IF_ERROR(VerifyRegions(
-      layout, SectionId::kRegionAttributeStreams, attribute_streams, kinds,
-      names, ends, levels, xml::NodeKind::kAttribute));
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(SectionId::kRegionElementOffsets,
-                                           sizeof(uint32_t)));
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(SectionId::kRegionAttributeOffsets,
-                                           sizeof(uint32_t)));
-  XMLQ_RETURN_IF_ERROR(VerifyFence(layout, SectionId::kRegionElementOffsets,
-                                   name_count, element_streams.size()));
-  XMLQ_RETURN_IF_ERROR(VerifyFence(layout, SectionId::kRegionAttributeOffsets,
-                                   name_count, attribute_streams.size()));
+  XMLQ_RETURN_IF_ERROR(VerifyPostings(
+      layout, SectionId::kRegionElementPostings,
+      SectionId::kRegionElementOffsets, name_count, kinds, names,
+      xml::NodeKind::kElement));
+  XMLQ_RETURN_IF_ERROR(VerifyPostings(
+      layout, SectionId::kRegionAttributePostings,
+      SectionId::kRegionAttributeOffsets, name_count, kinds, names,
+      xml::NodeKind::kAttribute));
 
   // -- Value index --------------------------------------------------------
   const SectionId value_entry_ids[2] = {SectionId::kValueElementEntries,
@@ -628,10 +608,9 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
     XMLQ_RETURN_IF_ERROR(VerifyFence(layout, value_numeric_offset_ids[f],
                                      name_count, numeric.size()));
     // Each per-name run must hold only nodes of that name and family (the
-    // join engines seed their streams from it), and text runs must be
-    // sorted by value (EqualRun binary-searches them). Numeric runs are not
-    // checked for order: older writers let NaN in, which left them unsorted,
-    // so FromParts drops NaN and re-sorts each run instead.
+    // join engines seed their streams from it), and must be sorted by value
+    // (EqualRun and NumericRun binary-search them); NaN, which no
+    // comparison orders, never enters a numeric run.
     const xml::NodeKind want_kind =
         f == 0 ? xml::NodeKind::kElement : xml::NodeKind::kAttribute;
     const auto text_fence = layout.Typed<uint32_t>(value_offset_ids[f]);
@@ -668,25 +647,18 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                                 " references a node past the node count or "
                                 "of another name or kind");
         }
+        if (std::isnan(numeric[k].value) ||
+            (k > numeric_fence[name] &&
+             numeric[k].value < numeric[k - 1].value)) {
+          return layout.Err(value_numeric_ids[f],
+                            "numeric entry " + std::to_string(k) +
+                                " is NaN or out of order");
+        }
       }
     }
     families[f] = ValueIndex::FamilyParts{
         entries, layout.Typed<uint32_t>(value_offset_ids[f]), numeric,
         layout.Typed<uint32_t>(value_numeric_offset_ids[f])};
-  }
-
-  // -- Tag dictionary -----------------------------------------------------
-  XMLQ_RETURN_IF_ERROR(
-      layout.ElementSized(SectionId::kTagElementCounts, sizeof(uint32_t)));
-  XMLQ_RETURN_IF_ERROR(
-      layout.ElementSized(SectionId::kTagAttributeCounts, sizeof(uint32_t)));
-  const auto tag_elements = layout.Typed<uint32_t>(SectionId::kTagElementCounts);
-  const auto tag_attributes =
-      layout.Typed<uint32_t>(SectionId::kTagAttributeCounts);
-  if (tag_elements.size() > name_count ||
-      tag_attributes.size() > name_count) {
-    return layout.Err(SectionId::kTagElementCounts,
-                      "tag count array longer than the name pool");
   }
 
   // -- Construction -------------------------------------------------------
@@ -730,17 +702,15 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                                   std::move(has_content), std::move(content),
                                   pool));
 
-  const Region document_region{0, ends[0], 0, xml::kInvalidName};
   auto regions = std::make_unique<RegionIndex>(RegionIndex::FromExternal(
-      document_region, ends, levels, region_elements, region_attributes,
-      element_streams, layout.Typed<uint32_t>(SectionId::kRegionElementOffsets),
-      attribute_streams,
+      ends, levels,
+      layout.Typed<xml::NodeId>(SectionId::kRegionElementPostings),
+      layout.Typed<uint32_t>(SectionId::kRegionElementOffsets),
+      layout.Typed<xml::NodeId>(SectionId::kRegionAttributePostings),
       layout.Typed<uint32_t>(SectionId::kRegionAttributeOffsets)));
 
   auto values = std::make_unique<ValueIndex>(ValueIndex::FromParts(
       dom->TextBufferView(), families[0], families[1]));
-  auto tags = std::make_unique<TagDictionary>(
-      TagDictionary::FromParts(tag_elements, tag_attributes));
 
   std::vector<SnapshotSectionInfo> infos;
   infos.reserve(kSnapshotSectionCount);
@@ -754,7 +724,6 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
   out.succinct = std::move(succinct);
   out.regions = std::move(regions);
   out.values = std::move(values);
-  out.tags = std::move(tags);
   out.backing = std::make_unique<SnapshotBacking>(std::move(bytes), mode,
                                                   std::move(infos), path);
   return out;

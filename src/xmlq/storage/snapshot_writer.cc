@@ -48,12 +48,10 @@ const char* SnapshotSectionName(uint32_t id) {
     case SectionId::kContentBuffer: return "content_buffer";
     case SectionId::kRegionEnds: return "region_ends";
     case SectionId::kRegionLevels: return "region_levels";
-    case SectionId::kRegionElements: return "region_elements";
-    case SectionId::kRegionAttributes: return "region_attributes";
-    case SectionId::kRegionElementStreams: return "region_element_streams";
+    case SectionId::kRegionElementPostings: return "region_element_postings";
     case SectionId::kRegionElementOffsets: return "region_element_offsets";
-    case SectionId::kRegionAttributeStreams:
-      return "region_attribute_streams";
+    case SectionId::kRegionAttributePostings:
+      return "region_attribute_postings";
     case SectionId::kRegionAttributeOffsets:
       return "region_attribute_offsets";
     case SectionId::kValueElementEntries: return "value_element_entries";
@@ -66,8 +64,6 @@ const char* SnapshotSectionName(uint32_t id) {
     case SectionId::kValueAttributeNumeric: return "value_attribute_numeric";
     case SectionId::kValueAttributeNumericOffsets:
       return "value_attribute_numeric_offsets";
-    case SectionId::kTagElementCounts: return "tag_element_counts";
-    case SectionId::kTagAttributeCounts: return "tag_attribute_counts";
   }
   return "?";
 }
@@ -76,8 +72,7 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
                                         const xml::Document& doc,
                                         const SuccinctDocument& succinct,
                                         const RegionIndex& regions,
-                                        const ValueIndex& values,
-                                        const TagDictionary& tags) {
+                                        const ValueIndex& values) {
   if (XMLQ_FAULT("store.snapshot.write")) {
     return Status::Internal("injected I/O failure writing snapshot \"" +
                             path + "\"");
@@ -127,12 +122,10 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
       content.BufferView(),
       AsBytes(regions.EndSpan()),
       AsBytes(regions.LevelSpan()),
-      AsBytes(regions.elements()),
-      AsBytes(regions.attributes()),
-      AsBytes(regions.ElementStreamsSpan()),
-      AsBytes(regions.ElementOffsetSpan()),
-      AsBytes(regions.AttributeStreamsSpan()),
-      AsBytes(regions.AttributeOffsetSpan()),
+      AsBytes(regions.PostingSpan(/*attribute=*/false)),
+      AsBytes(regions.PostingOffsetSpan(/*attribute=*/false)),
+      AsBytes(regions.PostingSpan(/*attribute=*/true)),
+      AsBytes(regions.PostingOffsetSpan(/*attribute=*/true)),
       AsBytes(std::span<const ValueIndex::PackedEntry>(elem_entries)),
       AsBytes(values.OffsetSpan(/*attribute=*/false)),
       AsBytes(values.NumericSpan(/*attribute=*/false)),
@@ -141,8 +134,6 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
       AsBytes(values.OffsetSpan(/*attribute=*/true)),
       AsBytes(values.NumericSpan(/*attribute=*/true)),
       AsBytes(values.NumericOffsetSpan(/*attribute=*/true)),
-      AsBytes(tags.ElementCountSpan()),
-      AsBytes(tags.AttributeCountSpan()),
   };
 
   // Lay out: header, table, then 64-byte-aligned payloads.

@@ -36,26 +36,7 @@ ValueIndex::Family ValueIndex::UnpackFamily(std::string_view text,
     out.entries.push_back(Entry{
         std::string_view(text.data() + pe.text_offset, pe.length), pe.node});
   }
-  // Older writers let NaN into the numeric runs, which broke their sort
-  // order: drop it and re-sort each run that is out of order.
-  out.numeric.reserve(parts.numeric.size());
-  for (size_t name = 0; name + 1 < out.numeric_offsets.size(); ++name) {
-    const size_t begin = out.numeric.size();
-    for (uint32_t i = parts.numeric_offsets[name];
-         i < parts.numeric_offsets[name + 1]; ++i) {
-      if (!std::isnan(parts.numeric[i].value)) {
-        out.numeric.push_back(parts.numeric[i]);
-      }
-    }
-    out.numeric_offsets[name] = static_cast<uint32_t>(begin);
-    const auto run = out.numeric.begin() + begin;
-    if (!std::is_sorted(run, out.numeric.end(), NumericLess)) {
-      std::sort(run, out.numeric.end(), NumericLess);
-    }
-  }
-  if (!out.numeric_offsets.empty()) {
-    out.numeric_offsets.back() = static_cast<uint32_t>(out.numeric.size());
-  }
+  out.numeric.assign(parts.numeric.begin(), parts.numeric.end());
   return out;
 }
 

@@ -73,8 +73,6 @@ class ValueIndex {
   /// Materializes from packed snapshot sections. `text` is the restored
   /// document's text buffer; every packed slice must lie inside it (callers
   /// validate — see snapshot_reader) and `text` must outlive the index.
-  /// NaN numeric entries (written by older builds) are dropped and each
-  /// numeric run is re-sorted if it is out of order.
   static ValueIndex FromParts(std::string_view text,
                               const FamilyParts& elements,
                               const FamilyParts& attributes);

@@ -17,6 +17,10 @@
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/random_tree.h"
 #include "xmlq/exec/op_stats.h"
+#include "xmlq/opt/cardinality.h"
+#include "xmlq/opt/synopsis.h"
+#include "xmlq/storage/value_index.h"
+#include "xmlq/xml/parser.h"
 
 namespace xmlq {
 namespace {
@@ -153,6 +157,46 @@ TEST(CardinalityAccuracyRandomTreeTest, ExactForSingleTagsAcrossSeeds) {
             << "seed=" << seed << " //" << tag << " @ " << o.label
             << ": est=" << o.estimated << " actual=" << o.actual;
       }
+    }
+  }
+}
+
+TEST(CardinalityNotEqualTest, GeneralNotEqualCountsEveryUnequalValue) {
+  // `p` mixes numbers, text that does not parse, NaN and an empty value;
+  // under CompareGeneral all but the equal values satisfy `!=`.
+  std::string text = "<r>";
+  const char* values[] = {"10", "abc", "20", "nan", "10.0", "", "x10",
+                          "3",  "10",  "-1", "NaN", "ten"};
+  for (int i = 0; i < 5; ++i) {
+    for (const char* v : values) text += std::string("<p>") + v + "</p>";
+  }
+  text += "</r>";
+  auto doc = xml::ParseDocument(text);
+  ASSERT_TRUE(doc.ok());
+  const storage::ValueIndex index(*doc);
+  const opt::Synopsis synopsis(*doc, &index);
+  const xml::NameId p = doc->pool().Find("p");
+  for (const algebra::ValueTyping typing :
+       {algebra::ValueTyping::kGeneral, algebra::ValueTyping::kGeneralNumber}) {
+    for (const char* literal : {"10", "3", "7"}) {
+      const algebra::ValuePredicate pred(algebra::CompareOp::kNe, literal,
+                                         typing);
+      size_t scan = 0;
+      for (xml::NodeId i = 0; i < doc->NodeCount(); ++i) {
+        if (doc->Kind(i) == xml::NodeKind::kElement && doc->Name(i) == p &&
+            pred.Eval(doc->StringValue(i))) {
+          ++scan;
+        }
+      }
+      algebra::PatternGraph graph;
+      const algebra::VertexId v =
+          graph.AddVertex(graph.root(), algebra::Axis::kDescendant, "p");
+      graph.AddPredicate(v, pred);
+      graph.SetOutput(v);
+      const opt::CardinalityEstimate estimate =
+          opt::EstimatePattern(synopsis, doc->pool(), graph);
+      EXPECT_DOUBLE_EQ(estimate.output_cardinality, static_cast<double>(scan))
+          << "typing " << static_cast<int>(typing) << " != " << literal;
     }
   }
 }

@@ -465,7 +465,7 @@ TEST(SeededStreamTest, SeedEqualsScanForEveryTypingOpAndLiteral) {
   }
   const TestDoc doc(std::move(dom));
   const auto element_count = [&](xml::NameId name) {
-    return doc.regions->ElementStream(name).size();
+    return doc.regions->Postings(name, /*attribute=*/false).size();
   };
   for (const ValueTyping typing :
        {ValueTyping::kString, ValueTyping::kNumber, ValueTyping::kGeneral,
@@ -522,7 +522,7 @@ TEST(SeededStreamTest, MixedContentElementsDoNotSeed) {
   graph.SetOutput(a);
   const StreamSeed seed = ChooseSeed(
       graph, *doc.values, doc.dom->pool(), [&](xml::NameId name) {
-        return doc.regions->ElementStream(name).size();
+        return doc.regions->Postings(name, /*attribute=*/false).size();
       });
   EXPECT_EQ(seed.vertex, algebra::kNoVertex);
   auto twig = TwigStackMatch(doc.view, graph);

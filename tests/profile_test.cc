@@ -78,10 +78,10 @@ uint64_t TotalStreamSize(const TestDoc& doc, const PatternGraph& graph) {
     if (vertex.is_root) {
       total += 1;  // the document region
     } else {
-      const xml::NameId name = doc.dom->pool().Find(vertex.label);
-      total += vertex.is_attribute
-                   ? doc.regions->AttributeStream(name).size()
-                   : doc.regions->ElementStream(name).size();
+      total += doc.regions
+                   ->Postings(doc.dom->pool().Find(vertex.label),
+                              vertex.is_attribute)
+                   .size();
     }
   }
   return total;
@@ -131,10 +131,10 @@ TEST(TwigStackComplexityTest, SeededStreamsReadOnlyIndexHits) {
     persons.push_back(doc.regions->RegionOf(doc.dom->Parent(hit)));
   }
   pruned += persons.size();
-  for (const storage::Region& name :
-       doc.regions->ElementStream(pool.Find("name"))) {
+  for (const xml::NodeId name :
+       doc.regions->Postings(pool.Find("name"), /*attribute=*/false)) {
     for (const storage::Region& person : persons) {
-      if (person.IsParentOf(name)) ++pruned;
+      if (person.IsParentOf(doc.regions->RegionOf(name))) ++pruned;
     }
   }
   OpStats stats;
@@ -226,9 +226,10 @@ TEST(StructuralJoinComplexityTest, VertexStreamProbesMatchRegionIndex) {
     auto stream = BuildVertexStream(doc.view, vertex, &stats);
     ASSERT_TRUE(stream.ok());
     const xml::NameId name = doc.dom->pool().Find(vertex.label);
-    // One probe per region fetched from the per-tag stream — no hidden
-    // index traffic.
-    EXPECT_EQ(stats.index_probes, doc.regions->ElementStream(name).size());
+    // One probe per entry fetched from the posting list — no hidden index
+    // traffic.
+    EXPECT_EQ(stats.index_probes,
+              doc.regions->Postings(name, /*attribute=*/false).size());
     EXPECT_EQ(stats.index_probes, stream->size());
   }
 }
@@ -237,12 +238,12 @@ TEST(StructuralJoinComplexityTest, MergeVisitsBothInputsOnce) {
   const TestDoc doc = AuctionDoc(0.05);
   const xml::NameId person = doc.dom->pool().Find("person");
   const xml::NameId name = doc.dom->pool().Find("name");
-  std::vector<storage::Region> ancestors(
-      doc.regions->ElementStream(person).begin(),
-      doc.regions->ElementStream(person).end());
-  std::vector<storage::Region> descendants(
-      doc.regions->ElementStream(name).begin(),
-      doc.regions->ElementStream(name).end());
+  const auto regions_of = [&](xml::NameId tag) {
+    const auto ids = doc.regions->Postings(tag, /*attribute=*/false);
+    return ToRegions(*doc.regions, NodeList(ids.begin(), ids.end()));
+  };
+  const std::vector<storage::Region> ancestors = regions_of(person);
+  const std::vector<storage::Region> descendants = regions_of(name);
   OpStats stats;
   const auto pairs = StructuralJoinPairs(ancestors, descendants,
                                          /*parent_child=*/true, nullptr,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -7,8 +8,8 @@
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
 #include "xmlq/datagen/random_tree.h"
+#include "xmlq/exec/structural_join.h"
 #include "xmlq/storage/region_index.h"
-#include "xmlq/storage/tag_dictionary.h"
 #include "xmlq/storage/value_index.h"
 #include "xmlq/xml/parser.h"
 
@@ -20,15 +21,15 @@ TEST(RegionIndexTest, SmallDocumentRegions) {
   ASSERT_TRUE(doc.ok());
   RegionIndex index(*doc);
   // Nodes: doc=0, a=1, b=2, c=3, b=4.
-  ASSERT_EQ(index.elements().size(), 4u);
+  ASSERT_EQ(index.PostingSpan(/*attribute=*/false).size(), 4u);
   EXPECT_EQ(index.EndOf(1), 4u);
   EXPECT_EQ(index.EndOf(2), 3u);
   EXPECT_EQ(index.EndOf(4), 4u);
   EXPECT_EQ(index.LevelOf(3), 3u);
-  const auto b_stream = index.ElementStream(doc->pool().Find("b"));
-  ASSERT_EQ(b_stream.size(), 2u);
-  EXPECT_EQ(b_stream[0].start, 2u);
-  EXPECT_EQ(b_stream[1].start, 4u);
+  const auto b_postings = index.Postings(doc->pool().Find("b"), false);
+  ASSERT_EQ(b_postings.size(), 2u);
+  EXPECT_EQ(b_postings[0], 2u);
+  EXPECT_EQ(b_postings[1], 4u);
   EXPECT_TRUE(index.RegionOf(1).Contains(index.RegionOf(3)));
   EXPECT_FALSE(index.RegionOf(2).Contains(index.RegionOf(4)));
   EXPECT_TRUE(index.RegionOf(2).IsParentOf(index.RegionOf(3)));
@@ -66,25 +67,95 @@ TEST(RegionIndexTest, AttributeStreams) {
       xml::ParseDocument("<r><x id=\"1\"/><y id=\"2\" class=\"k\"/></r>");
   ASSERT_TRUE(doc.ok());
   RegionIndex index(*doc);
-  const auto ids = index.AttributeStream(doc->pool().Find("id"));
+  const auto ids = index.Postings(doc->pool().Find("id"), /*attribute=*/true);
   ASSERT_EQ(ids.size(), 2u);
-  EXPECT_LT(ids[0].start, ids[1].start);
-  EXPECT_EQ(index.AttributeStream(doc->pool().Find("class")).size(), 1u);
-  EXPECT_TRUE(index.ElementStream(xml::kInvalidName).empty());
+  EXPECT_LT(ids[0], ids[1]);
+  EXPECT_EQ(index.RegionOf(ids[0]).end, ids[0]);
+  EXPECT_EQ(index.Postings(doc->pool().Find("class"), true).size(), 1u);
+  EXPECT_TRUE(index.Postings(doc->pool().Find("id"), false).empty());
+  EXPECT_TRUE(index.Postings(xml::kInvalidName, false).empty());
 }
 
-TEST(TagDictionaryTest, CountsElementsAndAttributes) {
-  auto doc = xml::ParseDocument(
-      "<r><a id=\"1\"/><a/><b id=\"2\" x=\"3\"/></r>");
-  ASSERT_TRUE(doc.ok());
-  TagDictionary dict(*doc);
-  EXPECT_EQ(dict.ElementCount(doc->pool().Find("a")), 2u);
-  EXPECT_EQ(dict.ElementCount(doc->pool().Find("b")), 1u);
-  EXPECT_EQ(dict.AttributeCount(doc->pool().Find("id")), 2u);
-  EXPECT_EQ(dict.AttributeCount(doc->pool().Find("x")), 1u);
-  EXPECT_EQ(dict.TotalElements(), 4u);
-  EXPECT_EQ(dict.TotalAttributes(), 3u);
-  EXPECT_EQ(dict.DistinctElementNames(), 3u);
+/// Checks every posting list of `index` against a DOM scan for its name and
+/// kind, every RegionOf against end/level recomputed from parent links, and
+/// the `*` vertex streams against all elements (attributes) in document
+/// order.
+void ExpectPostingsMatchDom(const xml::Document& doc) {
+  const RegionIndex index(doc);
+  const size_t n = doc.NodeCount();
+  std::vector<uint32_t> end(n);
+  std::vector<uint32_t> level(n, 0);
+  for (xml::NodeId i = 0; i < n; ++i) {
+    end[i] = i;
+    if (i > 0) level[i] = level[doc.Parent(i)] + 1;
+  }
+  for (xml::NodeId i = static_cast<xml::NodeId>(n); i-- > 1;) {
+    const xml::NodeId parent = doc.Parent(i);
+    end[parent] = std::max(end[parent], end[i]);
+  }
+  for (xml::NodeId i = 0; i < n; ++i) {
+    const Region r = index.RegionOf(i);
+    ASSERT_EQ(r.start, i);
+    ASSERT_EQ(r.end, end[i]) << "node " << i;
+    ASSERT_EQ(r.level, level[i]) << "node " << i;
+  }
+  EXPECT_EQ(index.DocumentRegion().end, n - 1);
+  for (const bool attribute : {false, true}) {
+    const xml::NodeKind kind =
+        attribute ? xml::NodeKind::kAttribute : xml::NodeKind::kElement;
+    size_t listed = 0;
+    for (xml::NameId name = 0; name < doc.pool().size(); ++name) {
+      std::vector<xml::NodeId> scan;
+      for (xml::NodeId i = 0; i < n; ++i) {
+        if (doc.Kind(i) == kind && doc.Name(i) == name) scan.push_back(i);
+      }
+      const auto postings = index.Postings(name, attribute);
+      EXPECT_EQ(std::vector<xml::NodeId>(postings.begin(), postings.end()),
+                scan)
+          << doc.pool().NameOf(name) << (attribute ? " (attribute)" : "");
+      listed += postings.size();
+    }
+    std::vector<xml::NodeId> all;
+    for (xml::NodeId i = 0; i < n; ++i) {
+      if (doc.Kind(i) == kind) all.push_back(i);
+    }
+    EXPECT_EQ(listed, all.size());
+    // The wildcard stream, derived from the node kinds.
+    algebra::PatternGraph graph;
+    const algebra::VertexId star = graph.AddVertex(
+        graph.root(),
+        attribute ? algebra::Axis::kAttribute : algebra::Axis::kDescendant,
+        "*", attribute);
+    const exec::IndexedDocument view{&doc, nullptr, &index, nullptr};
+    exec::OpStats stats;
+    auto stream = exec::BuildVertexStream(view, graph.vertex(star), &stats);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    EXPECT_EQ(stats.index_probes, all.size());
+    ASSERT_EQ(stream->size(), all.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ((*stream)[i].start, all[i]);
+      EXPECT_EQ((*stream)[i].end, end[all[i]]);
+      EXPECT_EQ((*stream)[i].level, level[all[i]]);
+    }
+  }
+}
+
+TEST(RegionIndexTest, PostingsMatchDomScanOnRandomTrees) {
+  for (uint64_t seed : {5ull, 13ull}) {
+    datagen::RandomTreeOptions options;
+    options.seed = seed;
+    options.num_elements = 300;
+    auto doc = datagen::GenerateRandomTree(options);
+    SCOPED_TRACE(seed);
+    ExpectPostingsMatchDom(*doc);
+  }
+}
+
+TEST(RegionIndexTest, PostingsMatchDomScanOnAuction) {
+  datagen::AuctionOptions options;
+  options.scale = 0.05;
+  auto doc = datagen::GenerateAuctionSite(options);
+  ExpectPostingsMatchDom(*doc);
 }
 
 TEST(ValueIndexTest, ElementLookup) {
@@ -226,7 +297,7 @@ TEST(ValueIndexTest, NanValuesStayOutOfNumericRuns) {
   ValueIndex index(*doc);
   const xml::NameId p = doc->pool().Find("p");
   const RegionIndex regions(*doc);
-  const auto stream = regions.ElementStream(p);
+  const auto stream = regions.Postings(p, /*attribute=*/false);
   ASSERT_EQ(stream.size(), 200u);
   ASSERT_EQ(index.RunSize(p, /*attribute=*/false), 200u);
   size_t ranges = 0;
@@ -235,11 +306,11 @@ TEST(ValueIndexTest, NanValuesStayOutOfNumericRuns) {
       if (hi < lo) continue;
       for (const bool inclusive : {false, true}) {
         std::vector<xml::NodeId> scan;
-        for (const Region& r : stream) {
-          const double v = std::stod(doc->StringValue(r.start));
+        for (const xml::NodeId id : stream) {
+          const double v = std::stod(doc->StringValue(id));
           if (!std::isnan(v) && (inclusive ? lo <= v : lo < v) &&
               (inclusive ? v <= hi : v < hi)) {
-            scan.push_back(r.start);
+            scan.push_back(id);
           }
         }
         EXPECT_EQ(index.LookupNumericRange(p, lo, inclusive, hi, inclusive,

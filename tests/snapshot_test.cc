@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "xmlq/base/strings.h"
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
+#include "xmlq/storage/manifest.h"
 #include "xmlq/storage/snapshot.h"
 #include "xmlq/xml/serializer.h"
 
@@ -343,8 +346,11 @@ void ExerciseOpened(const storage::OpenedSnapshot& snapshot) {
       xml::Serialize(*snapshot.dom, snapshot.dom->root(), {});
   (void)out;
   size_t checksum = snapshot.succinct->NodeCount();
-  for (const auto& region : snapshot.regions->elements()) {
-    checksum += region.start + region.end;
+  for (const bool attribute : {false, true}) {
+    for (const xml::NodeId id : snapshot.regions->PostingSpan(attribute)) {
+      const storage::Region region = snapshot.regions->RegionOf(id);
+      checksum += region.start + region.end + region.level;
+    }
   }
   (void)checksum;
 }
@@ -557,75 +563,69 @@ std::string NanDocument() {
   return text + "</r>";
 }
 
-TEST(SnapshotTest, OpensNumericRunsHoldingNanFromOlderWriters) {
+TEST(SnapshotTest, RefusesVersionOneImages) {
   Database db;
   ASSERT_TRUE(db.LoadDocument("nan.xml", NanDocument()).ok());
-  TempFile file("nan_src.xqpack");
+  TempFile file("v1_src.xqpack");
   auto info = db.Save("nan.xml", file.path());
   ASSERT_TRUE(info.ok());
-  const std::string image = ReadFileOrDie(file.path());
+  // A version-1 header over otherwise valid bytes, every checksum sealed.
+  std::string old = ReadFileOrDie(file.path());
+  storage::SnapshotHeader header;
+  std::memcpy(&header, old.data(), sizeof(header));
+  ASSERT_EQ(header.version, 2u);
+  header.version = 1;
+  std::memcpy(old.data(), &header, sizeof(header));
+  FixChecksums(&old);
 
-  // Older writers put every value that parses into the numeric run, NaN
-  // included; their sort then left the run out of order. Write the `p` run
-  // that way: document order, NaN interleaved.
-  const xml::Document& dom = *db.Get("nan.xml")->dom;
-  const xml::NameId p = dom.pool().Find("p");
-  std::vector<storage::ValueIndex::NumericEntry> run;
-  for (xml::NodeId i = 0; i < dom.NodeCount(); ++i) {
-    if (dom.Kind(i) == xml::NodeKind::kElement && dom.Name(i) == p) {
-      run.push_back({*ParseDouble(dom.StringValue(i)), i});
-    }
-  }
-  ASSERT_EQ(run.size(), 60u);
-  std::vector<uint32_t> fence(dom.pool().size() + 1, 0);
-  for (size_t name = p + 1; name < fence.size(); ++name) {
-    fence[name] = static_cast<uint32_t>(run.size());
-  }
-  std::string old = ReplaceSection(
-      image, storage::SectionId::kValueElementNumeric,
-      std::string_view(reinterpret_cast<const char*>(run.data()),
-                       run.size() * sizeof(run[0])));
-  old = ReplaceSection(
-      old, storage::SectionId::kValueElementNumericOffsets,
-      std::string_view(reinterpret_cast<const char*>(fence.data()),
-                       fence.size() * sizeof(fence[0])));
-  ASSERT_NE(old, image);
-
-  EXPECT_TRUE(VerifySnapshotImage(old, /*deep=*/true).ok());
-  auto opened = OpenSnapshotFromBytes(FileBytes::Copy(old),
-                                      SnapshotOpenMode::kCopy);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const storage::ValueIndex& values = *opened->values;
-  for (const double lo : {-1.0, 0.0, 30.0, 60.0}) {
-    for (const double hi : {0.0, 50.0, 100.0}) {
-      std::vector<xml::NodeId> scan;
-      for (const auto& entry : run) {
-        if (lo <= entry.value && entry.value <= hi) scan.push_back(entry.node);
-      }
-      EXPECT_EQ(values.LookupNumericRange(p, lo, true, hi, true, false), scan)
-          << lo << ".." << hi;
-      EXPECT_EQ(values.CountNumericRange(p, lo, true, hi, true, false),
-                scan.size())
-          << lo << ".." << hi;
-    }
+  const std::string want = "unsupported version 1 (expected 2)";
+  auto opened =
+      OpenSnapshotFromBytes(FileBytes::Copy(old), SnapshotOpenMode::kCopy);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
+  EXPECT_NE(opened.status().message().find("header at offset 0: " + want),
+            std::string::npos)
+      << opened.status().ToString();
+  for (const bool deep : {false, true}) {
+    const Status verified = VerifySnapshotImage(old, deep);
+    EXPECT_NE(verified.message().find(want), std::string::npos)
+        << verified.ToString();
   }
 
-  // Queries the join engines seed from the numeric run answer as on the
-  // freshly loaded document.
-  TempFile old_file("nan_old.xqpack");
-  WriteFileOrDie(old_file.path(), old);
-  Database reopened;
-  ASSERT_TRUE(
-      reopened.Open("nan.xml", old_file.path(), SnapshotOpenMode::kCopy).ok());
-  for (const char* query :
-       {"doc(\"nan.xml\")//p[. = 37]", "doc(\"nan.xml\")//p[. > 50]",
-        "doc(\"nan.xml\")//p[. <= 20]", "doc(\"nan.xml\")//p[. = 'nan']"}) {
-    auto want = db.Query(query);
-    auto got = reopened.Query(query);
-    ASSERT_TRUE(want.ok() && got.ok()) << query;
-    EXPECT_FALSE(want->value.empty()) << query;
-    EXPECT_EQ(Database::ToXml(*got), Database::ToXml(*want)) << query;
+  // A store a version-1 build journaled: Attach quarantines the snapshot
+  // with the version error and keeps serving the rest.
+  const std::string dir = "v1_store";
+  std::filesystem::remove_all(dir);
+  {
+    Database store;
+    ASSERT_TRUE(store.Attach(dir, SnapshotOpenMode::kCopy).ok());
+    ASSERT_TRUE(store.LoadDocument("nan.xml", NanDocument()).ok());
+    ASSERT_TRUE(store.LoadDocument("old.xml", NanDocument()).ok());
+    ASSERT_TRUE(store.Persist("nan.xml").ok());
   }
+  {
+    WriteFileOrDie(dir + "/old.xqpack", old);
+    auto manifest = storage::Manifest::Open(dir);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    storage::ManifestRecord record;
+    record.op = storage::ManifestOp::kRegister;
+    record.generation = manifest->NextGeneration();
+    record.name = "old.xml";
+    record.file = "old.xqpack";
+    record.snapshot_size = old.size();
+    record.snapshot_crc = Crc32(old.data(), old.size());
+    ASSERT_TRUE(manifest->Append(record).ok());
+  }
+  Database attached;
+  auto report = attached.Attach(dir, SnapshotOpenMode::kMap);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->quarantined.size(), 1u);
+  EXPECT_NE(report->quarantined[0].find("old.xml"), std::string::npos);
+  EXPECT_NE(report->quarantined[0].find(want), std::string::npos)
+      << report->quarantined[0];
+  EXPECT_TRUE(attached.Contains("nan.xml"));
+  EXPECT_FALSE(attached.Contains("old.xml"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotTest, CorruptValueRunsRejected) {
@@ -672,6 +672,128 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
   EXPECT_NE(opened.status().message().find("another name or kind"),
             std::string::npos)
       << opened.status().ToString();
+
+  // A numeric run holding NaN, or out of value order: NumericRun's binary
+  // search would miss rows.
+  using storage::ValueIndex;
+  const std::string_view numeric_section =
+      SectionBytes(image, *info, storage::SectionId::kValueElementNumeric);
+  ASSERT_GE(numeric_section.size(), 2 * sizeof(ValueIndex::NumericEntry));
+  std::vector<ValueIndex::NumericEntry> numeric(
+      numeric_section.size() / sizeof(ValueIndex::NumericEntry));
+  std::memcpy(numeric.data(), numeric_section.data(), numeric_section.size());
+  ASSERT_LT(numeric.front().value, numeric.back().value);
+  auto with_nan = numeric;
+  with_nan[1].value = std::nan("");
+  auto unsorted = numeric;
+  std::swap(unsorted.front(), unsorted.back());
+  for (const auto& mutated : {with_nan, unsorted}) {
+    std::string bad = image;
+    std::memcpy(bad.data() + (numeric_section.data() - image.data()),
+                mutated.data(), numeric_section.size());
+    FixChecksums(&bad);
+    opened = OpenSnapshotFromBytes(FileBytes::Copy(bad),
+                                   SnapshotOpenMode::kCopy);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
+    EXPECT_NE(opened.status().message().find("value_element_numeric at offset"),
+              std::string::npos)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find("NaN or out of order"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+TEST(SnapshotTest, CorruptRegionIndexRejected) {
+  Database db;
+  datagen::BibOptions bib;
+  bib.num_books = 8;
+  ASSERT_TRUE(
+      db.RegisterDocument("bib.xml", datagen::GenerateBibliography(bib)).ok());
+  TempFile file("postings_src.xqpack");
+  auto info = db.Save("bib.xml", file.path());
+  ASSERT_TRUE(info.ok());
+  const std::string image = ReadFileOrDie(file.path());
+  const xml::Document& dom = *db.Get("bib.xml")->dom;
+  const xml::NamePool& pool = dom.pool();
+  const auto read_u32 = [&](storage::SectionId id) {
+    const std::string_view bytes = SectionBytes(image, *info, id);
+    std::vector<uint32_t> out(bytes.size() / sizeof(uint32_t));
+    std::memcpy(out.data(), bytes.data(), bytes.size());
+    return out;
+  };
+  const auto as_bytes = [](const std::vector<uint32_t>& v) {
+    return std::string_view(reinterpret_cast<const char*>(v.data()),
+                            v.size() * sizeof(uint32_t));
+  };
+  const std::vector<uint32_t> elements =
+      read_u32(storage::SectionId::kRegionElementPostings);
+  const std::vector<uint32_t> fence =
+      read_u32(storage::SectionId::kRegionElementOffsets);
+  const std::vector<uint32_t> attributes =
+      read_u32(storage::SectionId::kRegionAttributePostings);
+  const std::vector<uint32_t> ends =
+      read_u32(storage::SectionId::kRegionEnds);
+  // The `book` list (8 entries) inside the element postings.
+  const xml::NameId book = pool.Find("book");
+  const uint32_t first_book = fence[book];
+  ASSERT_EQ(fence[book + 1] - first_book, 8u);
+
+  struct Case {
+    const char* what;
+    storage::SectionId id;
+    std::vector<uint32_t> payload;
+    const char* section;
+    const char* detail;
+  };
+  std::vector<Case> cases;
+  auto swapped = elements;
+  std::swap(swapped[first_book], swapped[first_book + 1]);
+  cases.push_back({"out of order", storage::SectionId::kRegionElementPostings,
+                   swapped, "region_element_postings", "out of order"});
+  auto wrong_kind = elements;
+  wrong_kind[first_book] = attributes.front();
+  cases.push_back({"wrong kind", storage::SectionId::kRegionElementPostings,
+                   wrong_kind, "region_element_postings",
+                   "of another name or kind"});
+  auto wrong_name = elements;
+  wrong_name[first_book] = dom.FirstChild(elements[first_book]);
+  ASSERT_EQ(dom.Kind(wrong_name[first_book]), xml::NodeKind::kElement);
+  cases.push_back({"wrong name", storage::SectionId::kRegionElementPostings,
+                   wrong_name, "region_element_postings",
+                   "of another name or kind"});
+  auto extra = attributes;
+  extra.push_back(attributes.back());
+  cases.push_back({"totals", storage::SectionId::kRegionAttributePostings,
+                   extra, "region_attribute_postings",
+                   "but the document has"});
+  auto short_fence = fence;
+  --short_fence.back();
+  cases.push_back({"fence", storage::SectionId::kRegionElementOffsets,
+                   short_fence, "region_element_offsets",
+                   "fence does not cover exactly"});
+  // An attribute whose region swallows the next node: in range, but not
+  // its subtree end.
+  auto long_end = ends;
+  ++long_end[attributes.front()];
+  cases.push_back({"subtree end", storage::SectionId::kRegionEnds, long_end,
+                   "region_ends", "disagrees with the parent links"});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string bad = ReplaceSection(image, c.id, as_bytes(c.payload));
+    auto opened =
+        OpenSnapshotFromBytes(FileBytes::Copy(bad), SnapshotOpenMode::kCopy);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
+    EXPECT_NE(opened.status().message().find(std::string(c.section) +
+                                             " at offset"),
+              std::string::npos)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find(c.detail), std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 TEST(SnapshotTest, FaultInjectionAtWriteMapAndVerify) {

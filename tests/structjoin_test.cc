@@ -13,10 +13,8 @@ using storage::RegionIndex;
 
 std::vector<Region> Stream(const RegionIndex& index, const xml::Document& doc,
                            std::string_view tag) {
-  std::vector<Region> out;
-  const auto span = index.ElementStream(doc.pool().Find(tag));
-  out.assign(span.begin(), span.end());
-  return out;
+  const auto ids = index.Postings(doc.pool().Find(tag), /*attribute=*/false);
+  return ToRegions(index, NodeList(ids.begin(), ids.end()));
 }
 
 TEST(StructuralJoinTest, SmallAncestorDescendant) {
