@@ -2,7 +2,7 @@
 // (snapshot file + parent dir, then the manifest append) so that a crash at
 // any instruction boundary recovers to exactly the old or the new catalog;
 // Attach pays a whole-file CRC-32C pass over every snapshot before serving
-// it; Scrub re-reads the store at a bounded rate. These benchmarks put
+// it; Scrub re-reads and re-verifies the store. These benchmarks put
 // numbers on each of those, plus the pure journal-replay cost, so the
 // durability tax is visible next to the R2 open-time wins it protects.
 

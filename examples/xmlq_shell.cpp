@@ -51,9 +51,6 @@ void PrintHelp() {
       "                          naive, or 'auto' for the cost model\n"
       "  .limits steps <n> | deadline <ms> | memory <bytes> | off\n"
       "                          bound every following query\n"
-      "  .set parallelism <n>    verification lanes for .attach and .scrub\n"
-      "                          (queries always run serially): 1 = serial,\n"
-      "                          0 = all hardware threads\n"
       "  .report [name]          storage footprint of a document\n"
       "  .save <name> <file>     write a document as an xqpack snapshot\n"
       "  .open <name> <file> [mmap|copy]\n"
@@ -99,7 +96,6 @@ int main() {
   std::vector<std::unique_ptr<BackgroundJob>> jobs;
   std::unique_ptr<xmlq::repl::ReplicationClient> repl;
   xmlq::api::QueryOptions options;
-  uint32_t verify_lanes = 1;  // .attach / .scrub lanes (.set parallelism)
   std::printf("xmlq shell — .help for commands\n");
 
   std::string line;
@@ -215,21 +211,6 @@ int main() {
       }
       continue;
     }
-    if (word == ".set") {
-      std::string knob;
-      uint64_t value = 0;
-      in >> knob >> value;
-      if (knob == "parallelism") {
-        verify_lanes = static_cast<uint32_t>(value);
-        std::printf("parallelism (.attach/.scrub): %u%s\n", verify_lanes,
-                    verify_lanes == 0   ? " (all hardware threads)"
-                    : verify_lanes == 1 ? " (serial)"
-                                        : "");
-      } else {
-        std::printf("usage: .set parallelism <n>\n");
-      }
-      continue;
-    }
     if (word == ".report") {
       std::string name;
       in >> name;
@@ -306,7 +287,7 @@ int main() {
       const auto mode = mode_word == "copy"
                             ? xmlq::storage::SnapshotOpenMode::kCopy
                             : xmlq::storage::SnapshotOpenMode::kMap;
-      auto report = db.Attach(dir, mode, verify_lanes);
+      auto report = db.Attach(dir, mode);
       if (!report.ok()) {
         std::printf("%s\n", report.status().ToString().c_str());
         continue;
@@ -344,7 +325,6 @@ int main() {
       in >> deep_word;
       xmlq::api::ScrubOptions scrub;
       scrub.deep = deep_word == "deep";
-      scrub.parallelism = verify_lanes;
       auto report = db.Scrub(scrub);
       std::printf("%s", report.ok()
                             ? report->ToString().c_str()

@@ -11,8 +11,8 @@
 #                       via tests/run_sanitized.sh) running the full
 #                       labeled suite, differential + profile included
 #   4. tsan stress    — ThreadSanitizer build running the `stress`-labeled
-#                       concurrent-serving suite (admission, cancellation,
-#                       catalog swaps, breaker)
+#                       concurrent-serving suites (admission, cancellation,
+#                       catalog swaps, breaker, queries beside a scrubber)
 #   5. asan recovery  — AddressSanitizer re-run of the `recovery`-labeled
 #                       crash-safety suite (fork/kill-point matrix, manifest
 #                       replay/fuzz, scrubber): the recovery paths touch
@@ -30,13 +30,7 @@
 #                       under AddressSanitizer and ThreadSanitizer: cloned
 #                       plans + shared cache entries are where lifetime and
 #                       race bugs would live
-#   8. parallel       — the `par`-labeled suite (morsel pool exactly-once
-#                       and batch isolation, chunked CRC folding, serving
-#                       stress with swaps and cancels beside a parallel
-#                       scrubber) under ThreadSanitizer and
-#                       AddressSanitizer: the pool's work-stealing claim
-#                       counter is shared by Attach and Scrub callers
-#   9. replication    — the `repl`-labeled follower-serving suite (ship +
+#   8. replication    — the `repl`-labeled follower-serving suite (ship +
 #                       apply chaos matrix, crash kill-points incl. the
 #                       promote/epoch boundaries, staleness gate, census
 #                       reconciliation, split-brain fencing at every frame
@@ -53,7 +47,7 @@
 # *.xqpack scratch files into the ctest working directory) — stays under
 # the build trees, so a failed run never litters the source tree.
 #
-#   scripts/ci.sh              # all nine stages
+#   scripts/ci.sh              # all eight stages
 #   scripts/ci.sh --fast       # tier-1 + differential only
 set -euo pipefail
 
@@ -124,15 +118,6 @@ echo "== asan cache suite =="
 echo "== tsan cache suite =="
 "${ROOT}/tests/run_sanitized.sh" thread -j "${JOBS}" -L cache
 
-# The morsel-pool suite under both TSan and ASan: scrub batches race over
-# the work-stealing claim counter while queries, swaps and cancels run
-# beside them — interleavings the uninstrumented tier-1 run can get lucky
-# on.
-echo "== tsan parallel suite =="
-"${ROOT}/tests/run_sanitized.sh" thread -j "${JOBS}" -L par
-echo "== asan parallel suite =="
-"${ROOT}/tests/run_sanitized.sh" address -j "${JOBS}" -L par
-
 # The replication suite under both TSan and ASan: the follower's stream
 # thread applies snapshots into a catalog other threads query, the server's
 # loop thread pumps shipments while workers answer queries, and the crash
@@ -154,4 +139,4 @@ echo "== asan repl suite =="
 echo "== failover smoke (primary kill -9 + follower reconvergence) =="
 "${ROOT}/scripts/failover_smoke.sh" "${BUILD_DIR}"
 
-echo "ci: tier-1 + differential + sanitizers + tsan stress + asan recovery + net + cache + parallel + repl green"
+echo "ci: tier-1 + differential + sanitizers + tsan stress + asan recovery + net + cache + repl green"

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <system_error>
@@ -16,7 +13,6 @@
 #include "xmlq/base/fault_injector.h"
 #include "xmlq/base/file_io.h"
 #include "xmlq/base/strings.h"
-#include "xmlq/exec/morsel.h"
 #include "xmlq/xml/parser.h"
 #include "xmlq/xml/serializer.h"
 #include "xmlq/xpath/compiler.h"
@@ -131,43 +127,49 @@ Result<storage::SnapshotWriteInfo> Database::Save(
 
 namespace {
 
-/// Reads `path` whole into `out` in chunks, sleeping between chunks so the
-/// cumulative rate stays under `max_bytes_per_second` (0 = unthrottled).
-/// The scrubber's I/O primitive: bounded-rate, never mmap (a read() of a
-/// corrupt file cannot SIGBUS a serving query).
-Status ReadThrottled(const std::string& path, uint64_t max_bytes_per_second,
-                     std::string* out, uint64_t* bytes_read) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::Internal("cannot open snapshot \"" + path +
-                            "\" for scrub: " + std::strerror(errno));
+/// The one verify step Attach and Scrub share: reads the snapshot `record`
+/// names whole with a plain read() — never mmap, so a file corrupted or
+/// truncated at rest cannot SIGBUS the reader — and checks it against the
+/// manifest's size and whole-file CRC-32C. That CRC was computed from the
+/// bytes WriteSnapshot committed, so corruption that recomputed the in-file
+/// header/section checksums to cover its tracks still fails here.
+/// `bytes_read` counts what was read, verified or not.
+Result<FileBytes> ReadCommittedSnapshot(const std::string& path,
+                                        const storage::ManifestRecord& record,
+                                        uint64_t* bytes_read) {
+  XMLQ_ASSIGN_OR_RETURN(FileBytes bytes, FileBytes::ReadWhole(path));
+  *bytes_read += bytes.size();
+  if (bytes.size() != record.snapshot_size) {
+    return Status::ParseError("snapshot \"" + path + "\": size " +
+                              std::to_string(bytes.size()) +
+                              " != manifest size " +
+                              std::to_string(record.snapshot_size));
   }
-  constexpr size_t kChunk = 256 * 1024;
-  std::vector<char> chunk(kChunk);
-  const auto start = std::chrono::steady_clock::now();
-  uint64_t total = 0;
-  while (true) {
-    const size_t n = std::fread(chunk.data(), 1, kChunk, file);
-    if (n > 0) {
-      out->append(chunk.data(), n);
-      total += n;
-      *bytes_read += n;
-    }
-    if (n < kChunk) {
-      const bool failed = std::ferror(file) != 0;
-      std::fclose(file);
-      if (failed) {
-        return Status::Internal("read error in snapshot \"" + path +
-                                "\" at offset " + std::to_string(total));
-      }
-      return Status::Ok();
-    }
-    if (max_bytes_per_second > 0) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration<double>(
-                      static_cast<double>(total) / max_bytes_per_second));
-    }
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  if (crc != record.snapshot_crc) {
+    return Status::ParseError(
+        "snapshot \"" + path + "\": whole-file checksum mismatch " +
+        "(manifest " + std::to_string(record.snapshot_crc) + ", computed " +
+        std::to_string(crc) + ")");
   }
+  return bytes;
+}
+
+/// Moves `record`'s snapshot aside to `<file>.quarantined` (keeping the
+/// evidence) and journals the drop so the next recovery does not retry it.
+Status JournalQuarantine(storage::Manifest& manifest,
+                         const storage::ManifestRecord& record) {
+  const std::string path = manifest.dir() + "/" + record.file;
+  std::error_code ec;
+  std::filesystem::rename(path, path + ".quarantined", ec);
+  storage::ManifestRecord quarantine;
+  quarantine.op = storage::ManifestOp::kQuarantine;
+  quarantine.generation = manifest.NextGeneration();
+  quarantine.name = record.name;
+  quarantine.file = record.file;
+  XMLQ_RETURN_IF_ERROR(manifest.Append(quarantine));
+  (void)SyncParentDir(path);
+  return Status::Ok();
 }
 
 void AppendLines(std::string* out, std::string_view label,
@@ -177,53 +179,6 @@ void AppendLines(std::string* out, std::string_view label,
     out->append(line);
     out->push_back('\n');
   }
-}
-
-/// 1 means serial; 0 means every hardware thread.
-uint32_t ResolveLanes(uint32_t parallelism) {
-  return parallelism != 0 ? parallelism
-                          : std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Whole-file CRC-32C over `lanes` chunk workers, folded with Crc32Combine —
-/// bit-identical to the single-pass Crc32 at any lane count.
-uint32_t ParallelCrc32(const char* data, size_t size, uint32_t lanes) {
-  constexpr size_t kMinChunk = 1 << 20;
-  if (lanes <= 1 || size < 2 * kMinChunk) return Crc32(data, size);
-  const std::vector<size_t> bounds = exec::SplitEvenly(size, kMinChunk, lanes);
-  const size_t chunks = bounds.size() - 1;
-  if (chunks <= 1) return Crc32(data, size);
-  std::vector<uint32_t> crcs(chunks);
-  exec::MorselPool::Shared().Run(chunks, lanes, [&](size_t c, uint32_t) {
-    crcs[c] = Crc32(data + bounds[c], bounds[c + 1] - bounds[c]);
-  });
-  uint32_t crc = crcs[0];
-  for (size_t c = 1; c < chunks; ++c) {
-    crc = Crc32Combine(crc, crcs[c], bounds[c + 1] - bounds[c]);
-  }
-  return crc;
-}
-
-/// VerifySnapshotImage with the checksum pass's per-section CRCs fanned out
-/// over pool lanes; the first failure in section order wins, so the verdict
-/// (and its error text) matches the serial pass exactly. The deep pass stays
-/// serial here — deep scrubs parallelize across snapshots instead.
-Status VerifyImageParallel(std::span<const char> image, bool deep,
-                           const std::string& path, uint32_t lanes) {
-  if (deep || lanes <= 1) {
-    return storage::VerifySnapshotImage(image, deep, path);
-  }
-  auto checks = storage::SnapshotSectionChecks(image, path);
-  if (!checks.ok()) return checks.status();
-  std::vector<Status> results(checks->size());
-  exec::MorselPool::Shared().Run(
-      checks->size(), lanes, [&](size_t i, uint32_t) {
-        results[i] = storage::VerifySectionCheck(image, (*checks)[i], path);
-      });
-  for (Status& st : results) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -256,8 +211,7 @@ std::string ScrubReport::ToString() const {
 Database::~Database() { StopScrubber(); }
 
 Result<RecoveryReport> Database::Attach(const std::string& dir,
-                                        storage::SnapshotOpenMode mode,
-                                        uint32_t parallelism) {
+                                        storage::SnapshotOpenMode mode) {
   std::lock_guard<std::mutex> lock(store_mu_);
   if (manifest_ != nullptr) {
     return Status::InvalidArgument("already attached to store \"" +
@@ -272,57 +226,29 @@ Result<RecoveryReport> Database::Attach(const std::string& dir,
   report.manifest_torn_bytes = manifest.replay().torn_bytes;
   report.manifest_torn_detail = manifest.replay().torn_detail;
 
-  // Verify and load every live snapshot. The whole-file CRC recorded in the
-  // manifest at commit time is checked against a fresh read *before* the
-  // image is trusted, so a snapshot corrupted at rest — even one whose
-  // in-file checksums were consistently recomputed — never reaches the
-  // catalog. Failures quarantine the file and keep going: one bad snapshot
-  // must not take down the rest of the store.
-  const std::vector<storage::ManifestRecord> records = [&] {
-    std::vector<storage::ManifestRecord> out;
-    for (const auto& [name, record] : manifest.entries()) {
-      out.push_back(record);
-    }
-    return out;
-  }();
+  // Verify and load every live snapshot, in manifest order. The whole-file
+  // CRC recorded in the manifest at commit time is checked against a fresh
+  // read *before* the image is trusted, so a snapshot corrupted at rest —
+  // even one whose in-file checksums were consistently recomputed — never
+  // reaches the catalog. Failures quarantine the file and keep going: one
+  // bad snapshot must not take down the rest of the store. Quarantining
+  // appends to the manifest, which rewrites entries(), so walk a copy.
+  std::vector<storage::ManifestRecord> records;
+  for (const auto& [name, record] : manifest.entries()) {
+    records.push_back(record);
+  }
   struct Recovered {
     uint64_t generation;
     std::string name;
     std::shared_ptr<const Entry> entry;
   };
   std::vector<Recovered> recovered;
-  // Phase 1 — verify + open every snapshot. Pure reads with no shared
-  // state, so the records fan out over pool lanes when asked (a
-  // single-snapshot store instead chunk-parallelizes its whole-file CRC).
-  // All manifest/catalog side effects wait for phase 2, which runs
-  // serially in manifest order — recovery decisions and the report are
-  // identical at any lane count.
-  const uint32_t lanes = ResolveLanes(parallelism);
-  const uint32_t file_lanes = records.size() > 1 ? 1 : lanes;
-  struct LoadOutcome {
-    std::shared_ptr<const Entry> entry;
-    Status status;
-  };
-  std::vector<LoadOutcome> loads(records.size());
-  auto load_one = [&](size_t i) {
-    const storage::ManifestRecord& record = records[i];
+  for (const storage::ManifestRecord& record : records) {
     const std::string path = dir + "/" + record.file;
     auto load = [&]() -> Result<std::shared_ptr<const Entry>> {
-      XMLQ_ASSIGN_OR_RETURN(FileBytes bytes, FileBytes::ReadWhole(path));
-      if (bytes.size() != record.snapshot_size) {
-        return Status::ParseError(
-            "snapshot \"" + path + "\": size " +
-            std::to_string(bytes.size()) + " != manifest size " +
-            std::to_string(record.snapshot_size));
-      }
-      const uint32_t crc = ParallelCrc32(bytes.data(), bytes.size(),
-                                         file_lanes);
-      if (crc != record.snapshot_crc) {
-        return Status::ParseError(
-            "snapshot \"" + path + "\": whole-file checksum mismatch " +
-            "(manifest " + std::to_string(record.snapshot_crc) +
-            ", computed " + std::to_string(crc) + ")");
-      }
+      uint64_t bytes_read = 0;
+      XMLQ_ASSIGN_OR_RETURN(FileBytes bytes,
+                            ReadCommittedSnapshot(path, record, &bytes_read));
       storage::OpenedSnapshot snapshot;
       if (mode == storage::SnapshotOpenMode::kMap) {
         // Re-open as a mapping; the bytes just verified stay warm in the
@@ -338,43 +264,16 @@ Result<RecoveryReport> Database::Attach(const std::string& dir,
     };
     auto entry = load();
     if (entry.ok()) {
-      loads[i].entry = *std::move(entry);
-    } else {
-      loads[i].status = entry.status();
-    }
-  };
-  if (lanes > 1 && records.size() > 1) {
-    exec::MorselPool::Shared().Run(records.size(), lanes,
-                                   [&](size_t i, uint32_t) { load_one(i); });
-  } else {
-    for (size_t i = 0; i < records.size(); ++i) load_one(i);
-  }
-
-  // Phase 2 — apply outcomes in manifest order.
-  for (size_t i = 0; i < records.size(); ++i) {
-    const storage::ManifestRecord& record = records[i];
-    const std::string path = dir + "/" + record.file;
-    if (loads[i].status.ok()) {
       recovered.push_back(
-          Recovered{record.generation, record.name, std::move(loads[i].entry)});
+          Recovered{record.generation, record.name, *std::move(entry)});
       report.loaded.push_back(record.name + " (g" +
                               std::to_string(record.generation) + ", " +
                               record.file + ")");
       continue;
     }
-    // Quarantine: move the file aside (keeping the evidence) and journal
-    // the drop so the next recovery does not retry it.
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    storage::ManifestRecord quarantine;
-    quarantine.op = storage::ManifestOp::kQuarantine;
-    quarantine.generation = manifest.NextGeneration();
-    quarantine.name = record.name;
-    quarantine.file = record.file;
-    XMLQ_RETURN_IF_ERROR(manifest.Append(quarantine));
-    (void)SyncParentDir(path);
+    XMLQ_RETURN_IF_ERROR(JournalQuarantine(manifest, record));
     report.quarantined.push_back(record.name + " (" + record.file +
-                                 "): " + loads[i].status.message());
+                                 "): " + entry.status().message());
   }
 
   // Garbage-collect files no committed record references: snapshots from a
@@ -559,77 +458,20 @@ Result<ScrubReport> Database::Scrub(const ScrubOptions& options) {
       records.push_back(record);
     }
   }
-  // Phase 1 — read + verify every snapshot. With `parallelism` > 1 the
-  // records fan out over pool lanes (a single-snapshot store instead
-  // chunk-parallelizes its whole-file CRC and fans the per-section CRCs
-  // out); the I/O throttle is divided among concurrent readers so the
-  // aggregate rate honors max_bytes_per_second either way. Quarantine side
-  // effects wait for phase 2, serial in manifest order, so detection and
-  // quarantine decisions are identical at any lane count.
-  const uint32_t lanes = ResolveLanes(options.parallelism);
-  const uint32_t file_lanes = records.size() > 1 ? 1 : lanes;
-  const uint64_t reader_rate =
-      options.max_bytes_per_second == 0
-          ? 0
-          : std::max<uint64_t>(
-                1, options.max_bytes_per_second /
-                       std::max<uint64_t>(
-                           1, std::min<uint64_t>(lanes, records.size())));
-  struct Outcome {
-    Status status;
-    uint64_t bytes_read = 0;
-  };
-  std::vector<Outcome> outcomes(records.size());
-  auto scrub_one = [&](size_t i) {
-    const storage::ManifestRecord& record = records[i];
-    const std::string path = dir + "/" + record.file;
-    std::string image;
-    Status status =
-        ReadThrottled(path, reader_rate, &image, &outcomes[i].bytes_read);
-    if (status.ok() && image.size() != record.snapshot_size) {
-      status = Status::ParseError(
-          "snapshot \"" + path + "\": size " + std::to_string(image.size()) +
-          " != manifest size " + std::to_string(record.snapshot_size));
-    }
-    if (status.ok()) {
-      // The manifest CRC is the authority: it was computed from the bytes
-      // WriteSnapshot committed, so corruption that recomputed the in-file
-      // header/section checksums to cover its tracks still fails here.
-      const uint32_t crc = ParallelCrc32(image.data(), image.size(),
-                                         file_lanes);
-      if (crc != record.snapshot_crc) {
-        status = Status::ParseError(
-            "snapshot \"" + path + "\": whole-file checksum mismatch " +
-            "(manifest " + std::to_string(record.snapshot_crc) +
-            ", computed " + std::to_string(crc) + ")");
-      }
-    }
-    if (status.ok()) {
-      status = VerifyImageParallel(
-          std::span<const char>(image.data(), image.size()), options.deep,
-          path, file_lanes);
-    }
-    outcomes[i].status = std::move(status);
-  };
-  if (lanes > 1 && records.size() > 1) {
-    exec::MorselPool::Shared().Run(records.size(), lanes,
-                                   [&](size_t i, uint32_t) { scrub_one(i); });
-  } else {
-    for (size_t i = 0; i < records.size(); ++i) scrub_one(i);
-  }
-
-  // Phase 2 — fold outcomes into the report and quarantine, in manifest
-  // order.
-  for (size_t i = 0; i < records.size(); ++i) {
+  for (const storage::ManifestRecord& record : records) {
     ++report.files_checked;
-    report.bytes_read += outcomes[i].bytes_read;
-    if (outcomes[i].status.ok()) continue;
+    const std::string path = dir + "/" + record.file;
+    auto bytes = ReadCommittedSnapshot(path, record, &report.bytes_read);
+    const Status status =
+        bytes.ok() ? storage::VerifySnapshotImage(bytes->bytes(), options.deep,
+                                                  path)
+                   : bytes.status();
+    if (status.ok()) continue;
     // Only an actual quarantine counts as corruption: a concurrent Persist
     // may have replaced (and unlinked) this generation mid-read, which
     // QuarantineSnapshot detects and skips.
     const size_t before = report.quarantined.size();
-    XMLQ_RETURN_IF_ERROR(
-        QuarantineSnapshot(records[i], outcomes[i].status.message(), &report));
+    XMLQ_RETURN_IF_ERROR(QuarantineSnapshot(record, status.message(), &report));
     if (report.quarantined.size() > before) ++report.corrupt;
   }
   {
@@ -659,15 +501,7 @@ Status Database::QuarantineSnapshot(const storage::ManifestRecord& record,
                               ": replaced concurrently, skipped");
       return Status::Ok();
     }
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    storage::ManifestRecord quarantine;
-    quarantine.op = storage::ManifestOp::kQuarantine;
-    quarantine.generation = manifest_->NextGeneration();
-    quarantine.name = record.name;
-    quarantine.file = record.file;
-    XMLQ_RETURN_IF_ERROR(manifest_->Append(quarantine));
-    (void)SyncParentDir(path);
+    XMLQ_RETURN_IF_ERROR(JournalQuarantine(*manifest_, record));
     report->quarantined.push_back(record.name + " (" + record.file +
                                   "): " + reason);
   }

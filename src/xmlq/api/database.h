@@ -57,8 +57,7 @@ struct QueryOptions {
   bool use_plan_cache = true;
   /// Accepted for wire and API compatibility and without effect on
   /// evaluation: every τ engine runs its single serial code path at any
-  /// value, so results, stats and budgets do not depend on it. (Attach and
-  /// Scrub take their own lane counts.)
+  /// value, so results, stats and budgets do not depend on it.
   uint32_t parallelism = 1;
 };
 
@@ -106,17 +105,9 @@ struct RecoveryReport {
 
 /// Knobs for one integrity-scrub pass.
 struct ScrubOptions {
-  /// I/O throttle for the background scrubber; 0 = unthrottled (the
-  /// foreground `.scrub` default).
-  uint64_t max_bytes_per_second = 0;
   /// Re-run the full structural validation (cross-section invariants, BP
   /// balance, index fences) on top of the checksum sweep.
   bool deep = false;
-  /// Worker lanes for the checksum sweep: whole-file CRC computed over
-  /// parallel chunks (combined exactly), per-section CRCs verified in
-  /// parallel. 1 = serial; 0 = all hardware threads. Detection and
-  /// quarantine decisions are identical at any value.
-  uint32_t parallelism = 1;
 };
 
 /// What one scrub pass found.
@@ -206,16 +197,10 @@ class Database {
   /// record references, and registers the surviving documents. The
   /// lowest-generation recovered document becomes the default document when
   /// none is set yet. At most one store may be attached per Database.
-  ///
-  /// `parallelism` > 1 verifies the snapshots on that many morsel-pool lanes
-  /// (whole-file CRCs chunk-combined when the store has a single snapshot);
-  /// 0 = all hardware threads. Verification outcomes, quarantine decisions
-  /// and the report are identical at any value — the manifest side effects
-  /// are applied serially in manifest order after the parallel verify.
+  /// Snapshots are verified one at a time, in manifest order.
   Result<RecoveryReport> Attach(
       const std::string& dir,
-      storage::SnapshotOpenMode mode = storage::SnapshotOpenMode::kMap,
-      uint32_t parallelism = 1);
+      storage::SnapshotOpenMode mode = storage::SnapshotOpenMode::kMap);
 
   /// Durably persists document `name` (default document when empty) into
   /// the attached store: writes a new-generation snapshot file, commits it
@@ -232,7 +217,7 @@ class Database {
   Status Remove(std::string_view name);
 
   /// One integrity-scrub pass over every live snapshot in the attached
-  /// store: re-reads each file (throttled to `max_bytes_per_second`),
+  /// store, one file at a time in manifest order: re-reads each file,
   /// verifies it against the manifest's whole-file CRC-32C — which catches
   /// even corruption hiding behind recomputed in-file section checksums —
   /// and re-validates the image (`deep` adds full structural validation).

@@ -36,13 +36,14 @@ constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
 
 constexpr std::array<std::array<uint32_t, 256>, 8> kTables = MakeTables();
 
-// ---- GF(2) machinery for recombining interleaved/chunked streams --------
+#ifdef XMLQ_CRC32_HW
+
+// ---- GF(2) machinery for recombining interleaved streams ----------------
 //
 // Appending n zero bytes to a message multiplies its CRC by x^(8n) in
 // GF(2)[x]/P — a linear operator on the 32 crc bits. The hardware path
 // precomputes that operator for its two interleave block sizes as 4x256
-// lookup tables; Crc32Combine exponentiates it for arbitrary lengths. Same
-// construction as zlib's crc32_combine.
+// lookup tables. Same construction as zlib's crc32_combine.
 
 uint32_t Gf2Times(const uint32_t mat[32], uint32_t vec) {
   uint32_t out = 0;
@@ -55,8 +56,6 @@ uint32_t Gf2Times(const uint32_t mat[32], uint32_t vec) {
 void Gf2Square(uint32_t dst[32], const uint32_t src[32]) {
   for (int i = 0; i < 32; ++i) dst[i] = Gf2Times(src, src[i]);
 }
-
-#ifdef XMLQ_CRC32_HW
 
 struct ShiftTable {
   uint32_t t[4][256];
@@ -192,29 +191,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   }
 #endif
   return internal::Crc32Software(data, size, seed);
-}
-
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
-  // The pre/post inversions cancel: with F the raw register map of chunk B
-  // (affine: F(r) = L(r) ^ C, L = multiply by x^(8 len_b)), expanding
-  // ~F(~crc_a) against ~F(~0) = crc_b leaves exactly L(crc_a) ^ crc_b.
-  uint32_t even[32], odd[32];
-  odd[0] = kPoly;  // the one-zero-bit operator
-  for (int i = 1; i < 32; ++i) odd[i] = uint32_t{1} << (i - 1);
-  Gf2Square(even, odd);  // 2 bits
-  Gf2Square(odd, even);  // 4 bits
-  // Square-and-multiply over the bits of len_b (first squaring: 8 bits =
-  // one zero byte).
-  while (len_b != 0) {
-    Gf2Square(even, odd);
-    if (len_b & 1) crc_a = Gf2Times(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    Gf2Square(odd, even);
-    if (len_b & 1) crc_a = Gf2Times(odd, crc_a);
-    len_b >>= 1;
-  }
-  return crc_a ^ crc_b;
 }
 
 }  // namespace xmlq

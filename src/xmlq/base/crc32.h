@@ -16,14 +16,6 @@ namespace xmlq {
 /// unchanged).
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
-/// Combines the CRCs of two adjacent chunks: given `crc_a = Crc32(A)` and
-/// `crc_b = Crc32(B)` (both seeded with 0), returns `Crc32(A || B)` in
-/// O(log len_b) — the GF(2) "append len_b zero bytes" operator applied to
-/// crc_a, xor crc_b (zlib's crc32_combine construction). This is what makes
-/// whole-file checksums chunk-parallel: checksum disjoint chunks on separate
-/// lanes, then fold the results left to right.
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
-
 namespace internal {
 
 /// The portable slicing-by-8 path, exposed so tests can pin the hardware

@@ -202,30 +202,6 @@ Result<OpenedSnapshot> OpenSnapshotFromBytes(FileBytes bytes,
 Status VerifySnapshotImage(std::span<const char> bytes, bool deep,
                            const std::string& path = {});
 
-/// One per-section checksum work item from SnapshotSectionChecks: the
-/// payload bounds (already validated against the file) and the stored CRC.
-struct SectionCheck {
-  uint64_t offset = 0;
-  uint64_t size = 0;
-  uint32_t crc = 0;      // stored section checksum
-  uint32_t id = 0;       // SectionId, for the error message
-};
-
-/// The structure half of the checksum verification pass: validates header,
-/// section table and padding (including the "store.snapshot.verify" fault
-/// site — the caller must not check it again) and returns the per-section
-/// CRC work items in file order. VerifySectionCheck then verifies one item.
-/// Running SnapshotSectionChecks + every VerifySectionCheck (taking the
-/// first failure in section order) is byte-for-byte equivalent to
-/// VerifySnapshotImage(bytes, /*deep=*/false, path) — the split exists so a
-/// parallel scrubber can fan the section CRCs out over worker lanes.
-Result<std::vector<SectionCheck>> SnapshotSectionChecks(
-    std::span<const char> bytes, const std::string& path = {});
-
-Status VerifySectionCheck(std::span<const char> bytes,
-                          const SectionCheck& check,
-                          const std::string& path = {});
-
 }  // namespace xmlq::storage
 
 #endif  // XMLQ_STORAGE_SNAPSHOT_H_

@@ -65,10 +65,9 @@ struct Layout {
   }
 };
 
-/// Header + section-table + padding validation; fills `layout`. Does NOT
-/// verify the per-section payload CRCs — ParseLayout adds those; the
-/// parallel scrubber fans them out instead (SnapshotSectionChecks).
-Status ParseLayoutStructure(std::span<const char> bytes, Layout* layout) {
+/// Full checksum validation; fills `layout`: header, section table and
+/// padding, then every section CRC in order.
+Status ParseLayout(std::span<const char> bytes, Layout* layout) {
   layout->base = bytes.data();
   if (bytes.size() < sizeof(SnapshotHeader)) {
     return Corrupt(0, "header",
@@ -167,28 +166,14 @@ Status ParseLayoutStructure(std::span<const char> bytes, Layout* layout) {
   if (XMLQ_FAULT("store.snapshot.verify")) {
     return Corrupt(0, "header", "injected verification failure");
   }
-  return Status::Ok();
-}
-
-Status CheckSectionCrc(std::span<const char> bytes, uint64_t offset,
-                       uint64_t size, uint32_t stored, uint32_t id) {
-  const uint32_t crc = Crc32(bytes.data() + offset, size);
-  if (crc != stored) {
-    return Corrupt(offset, SnapshotSectionName(id),
-                   "section checksum mismatch (stored " +
-                       std::to_string(stored) + ", computed " +
-                       std::to_string(crc) + ")");
-  }
-  return Status::Ok();
-}
-
-/// Full checksum validation: structure, then every section CRC in order.
-Status ParseLayout(std::span<const char> bytes, Layout* layout) {
-  XMLQ_RETURN_IF_ERROR(ParseLayoutStructure(bytes, layout));
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
-    const SnapshotSection& s = layout->table[i];
-    XMLQ_RETURN_IF_ERROR(CheckSectionCrc(bytes, s.offset, s.size, s.crc,
-                                         s.id));
+  for (const SnapshotSection& s : layout->table) {
+    const uint32_t crc = Crc32(bytes.data() + s.offset, s.size);
+    if (crc != s.crc) {
+      return Corrupt(s.offset, SnapshotSectionName(s.id),
+                     "section checksum mismatch (stored " +
+                         std::to_string(s.crc) + ", computed " +
+                         std::to_string(crc) + ")");
+    }
   }
   return Status::Ok();
 }
@@ -737,28 +722,6 @@ Result<OpenedSnapshot> OpenSnapshotFromBytes(FileBytes bytes,
   auto opened = OpenSnapshotFromBytesImpl(std::move(bytes), mode, path);
   if (!opened.ok()) return AnnotatePath(opened.status(), path);
   return opened;
-}
-
-Result<std::vector<SectionCheck>> SnapshotSectionChecks(
-    std::span<const char> bytes, const std::string& path) {
-  Layout layout;
-  if (Status st = ParseLayoutStructure(bytes, &layout); !st.ok()) {
-    return AnnotatePath(std::move(st), path);
-  }
-  std::vector<SectionCheck> checks;
-  checks.reserve(kSnapshotSectionCount);
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
-    const SnapshotSection& s = layout.table[i];
-    checks.push_back(SectionCheck{s.offset, s.size, s.crc, s.id});
-  }
-  return checks;
-}
-
-Status VerifySectionCheck(std::span<const char> bytes,
-                          const SectionCheck& check, const std::string& path) {
-  return AnnotatePath(
-      CheckSectionCrc(bytes, check.offset, check.size, check.crc, check.id),
-      path);
 }
 
 Status VerifySnapshotImage(std::span<const char> bytes, bool deep,

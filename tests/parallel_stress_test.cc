@@ -6,8 +6,7 @@
 // exactly one of {ordered-correct result for SOME pinned document version,
 // kCancelled, kResourceExhausted}. A second group proves resource limits
 // (deadline, step budget) behave identically at any parallelism value, and
-// that queries run cleanly while the scrubber fans out over the
-// process-wide MorselPool.
+// that queries run cleanly beside a running scrubber.
 
 #include <gtest/gtest.h>
 
@@ -234,9 +233,9 @@ TEST(ParallelStressTest, ExpiredDeadlineTripsAtAnyParallelism) {
   }
 }
 
-// The scrubber fans out over MorselPool::Shared() while readers query the
-// same live store: scrub batches must stay isolated from the serving path
-// and quarantine decisions must stay clean-store-correct under contention.
+// The scrubber re-reads and re-verifies the store while readers query it:
+// scrub passes must stay isolated from the serving path and quarantine
+// decisions must stay clean-store-correct under contention.
 TEST(ParallelStressTest, ParallelQueriesAndParallelScrubShareThePool) {
   const std::string dir = "parallel_stress_store";
   std::filesystem::remove_all(dir);
@@ -253,7 +252,6 @@ TEST(ParallelStressTest, ParallelQueriesAndParallelScrubShareThePool) {
     for (int i = 0; i < 20; ++i) {
       api::ScrubOptions scrub;
       scrub.deep = i % 2 == 1;
-      scrub.parallelism = 4;
       auto report = db.Scrub(scrub);
       if (!report.ok() || report->corrupt != 0) ++scrub_errors;
     }

@@ -116,6 +116,42 @@ std::string OnlySnapshotIn(const std::string& dir) {
   return found;
 }
 
+/// How a snapshot file is damaged at rest, behind the store's back.
+enum class AtRest { kTruncated, kDeleted };
+
+const char* AtRestName(AtRest damage) {
+  return damage == AtRest::kTruncated ? "truncated" : "deleted";
+}
+
+/// Seeds `dir` with good1.xml (5 books, g1), victim.xml (12 books, g2) and
+/// good2.xml (9 books, g3); returns victim.xml's snapshot path.
+std::string SeedThreeDocStore(const std::string& dir) {
+  Database db;
+  EXPECT_TRUE(db.Attach(dir, SnapshotOpenMode::kCopy).ok());
+  EXPECT_TRUE(db.RegisterDocument("good1.xml", MakeBib(5)).ok());
+  EXPECT_TRUE(db.RegisterDocument("victim.xml", MakeBib(12)).ok());
+  EXPECT_TRUE(db.RegisterDocument("good2.xml", MakeBib(9)).ok());
+  EXPECT_TRUE(db.Persist("good1.xml").ok());
+  EXPECT_TRUE(db.Persist("victim.xml").ok());
+  EXPECT_TRUE(db.Persist("good2.xml").ok());
+  return dir + "/victim.xml-g2.xqpack";
+}
+
+/// Truncates `path` to half its size, or deletes it.
+void DamageAtRest(const std::string& path, AtRest damage) {
+  if (damage == AtRest::kTruncated) {
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  } else {
+    std::filesystem::remove(path);
+  }
+}
+
+/// The reason a snapshot damaged that way is quarantined with: the read
+/// comes up short of the manifest size, or the file cannot be opened.
+const char* AtRestReason(AtRest damage) {
+  return damage == AtRest::kTruncated ? "!= manifest size" : "cannot open";
+}
+
 // ---------------------------------------------------------------------------
 // Manifest journal
 
@@ -621,54 +657,44 @@ TEST(DurableStoreTest, AttachQuarantinesCorruptSnapshotKeepsServingRest) {
   EXPECT_TRUE(second->quarantined.empty());
 }
 
-TEST(DurableStoreTest, ParallelAttachQuarantinesIdenticallyToSerial) {
-  // Two identically-seeded stores, the same single-bit corruption planted
-  // in each; a serial attach and a parallelism-4 attach (per-record verify
-  // fan-out) must load and quarantine exactly the same documents.
-  auto seed_corrupted = [](const std::string& dir) {
-    {
+TEST(DurableStoreTest, AttachQuarantinesSnapshotTruncatedOrDeletedAtRest) {
+  for (const AtRest damage : {AtRest::kTruncated, AtRest::kDeleted}) {
+    for (const SnapshotOpenMode mode :
+         {SnapshotOpenMode::kCopy, SnapshotOpenMode::kMap}) {
+      SCOPED_TRACE(std::string(AtRestName(damage)) +
+                   (mode == SnapshotOpenMode::kMap ? ", mmap" : ", copy"));
+      TempDir dir("recovery_at_rest_attach");
+      const std::string victim = SeedThreeDocStore(dir.path());
+      DamageAtRest(victim, damage);
+
       Database db;
-      ASSERT_TRUE(db.Attach(dir, SnapshotOpenMode::kCopy).ok());
-      ASSERT_TRUE(db.RegisterDocument("good1.xml", MakeBib(5)).ok());
-      ASSERT_TRUE(db.RegisterDocument("bad.xml", MakeBib(12)).ok());
-      ASSERT_TRUE(db.RegisterDocument("good2.xml", MakeBib(9)).ok());
-      ASSERT_TRUE(db.Persist("good1.xml").ok());
-      ASSERT_TRUE(db.Persist("bad.xml").ok());
-      ASSERT_TRUE(db.Persist("good2.xml").ok());
+      auto report = db.Attach(dir.path(), mode);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      // Manifest (name) order; the damaged snapshot alone is quarantined.
+      EXPECT_EQ(report->loaded,
+                (std::vector<std::string>{
+                    "good1.xml (g1, good1.xml-g1.xqpack)",
+                    "good2.xml (g3, good2.xml-g3.xqpack)"}));
+      ASSERT_EQ(report->quarantined.size(), 1u);
+      const std::string& line = report->quarantined[0];
+      EXPECT_EQ(line.rfind("victim.xml (victim.xml-g2.xqpack): ", 0), 0u)
+          << line;
+      EXPECT_NE(line.find(AtRestReason(damage)), std::string::npos) << line;
+      // A truncated file is kept aside as evidence; a deleted one left none.
+      EXPECT_EQ(std::filesystem::exists(victim + ".quarantined"),
+                damage == AtRest::kTruncated);
+      EXPECT_FALSE(std::filesystem::exists(victim));
+      EXPECT_FALSE(db.Contains("victim.xml"));
+      EXPECT_EQ(DocImage(db, "good1.xml"), ExpectedImage(5));
+      EXPECT_EQ(DocImage(db, "good2.xml"), ExpectedImage(9));
+
+      // The quarantine is journaled: the next attach does not retry it.
+      Database again;
+      auto second = again.Attach(dir.path(), mode);
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      EXPECT_EQ(second->loaded, report->loaded);
+      EXPECT_TRUE(second->quarantined.empty());
     }
-    const std::string victim = dir + "/bad.xml-g2.xqpack";
-    std::string bytes = ReadRaw(victim);
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0x10;
-    WriteRaw(victim, bytes);
-  };
-  TempDir serial_dir("recovery_par_attach_serial");
-  TempDir parallel_dir("recovery_par_attach_parallel");
-  seed_corrupted(serial_dir.path());
-  seed_corrupted(parallel_dir.path());
-
-  Database serial_db;
-  auto serial = serial_db.Attach(serial_dir.path(), SnapshotOpenMode::kCopy,
-                                 /*parallelism=*/1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Database parallel_db;
-  auto parallel = parallel_db.Attach(parallel_dir.path(),
-                                     SnapshotOpenMode::kCopy,
-                                     /*parallelism=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  // Identical outcomes: same documents recovered (manifest order), same
-  // single quarantine naming the same file for the same reason.
-  EXPECT_EQ(parallel->loaded, serial->loaded);
-  ASSERT_EQ(serial->quarantined.size(), 1u);
-  ASSERT_EQ(parallel->quarantined.size(), 1u);
-  EXPECT_NE(parallel->quarantined[0].find("bad.xml"), std::string::npos);
-  EXPECT_NE(parallel->quarantined[0].find("checksum"), std::string::npos)
-      << parallel->quarantined[0];
-  for (Database* db : {&serial_db, &parallel_db}) {
-    EXPECT_FALSE(db->Contains("bad.xml"));
-    EXPECT_EQ(DocImage(*db, "good1.xml"), ExpectedImage(5));
-    EXPECT_EQ(DocImage(*db, "good2.xml"), ExpectedImage(9));
   }
 }
 
@@ -812,88 +838,51 @@ TEST(ScrubTest, DetectsEverySingleBitFlipBehindRecomputedChecksums) {
   EXPECT_EQ(detected, kTrials);
 }
 
-TEST(ScrubTest, ParallelScrubDetectsSameBitFlipsAsSerial) {
-  // Parity sweep for the morsel-parallel read path: each trial plants the
-  // same cover-your-tracks corruption twice — once scrubbed serially, once
-  // at parallelism 4 (chunked CRC + per-record fan-out) — and both must
-  // detect and quarantine identically, 8/8.
-  TempDir dir("recovery_scrub_par_bits");
-  SeedStore(dir.path());
-  Rng rng(5);
-  int serial_detected = 0, parallel_detected = 0;
-  constexpr int kTrials = 8;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t offset_seed = rng.Next();
-    for (const uint32_t parallelism : {1u, 4u}) {
-      Database db;
-      ASSERT_TRUE(
-          db.Attach(dir.path(), SnapshotOpenMode::kCopy, parallelism).ok());
-      const std::string victim = OnlySnapshotIn(dir.path());
-      const std::string pristine = ReadRaw(victim);
-      ASSERT_FALSE(pristine.empty());
-      const std::string corrupt = CorruptBehindRecomputedChecksums(
-          pristine, offset_seed % (pristine.size() / 2));
-      ASSERT_NE(corrupt, pristine);
-      WriteRaw(victim, corrupt);
-
-      ScrubOptions scrub;
-      scrub.parallelism = parallelism;
-      auto report = db.Scrub(scrub);
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      EXPECT_EQ(report->files_checked, 1u);
-      if (report->corrupt == 1) {
-        ++(parallelism == 1 ? serial_detected : parallel_detected);
-      }
-      ASSERT_EQ(report->quarantined.size(), 1u) << "p" << parallelism;
-      EXPECT_NE(report->quarantined[0].find("whole-file checksum"),
-                std::string::npos)
-          << report->quarantined[0];
-      EXPECT_TRUE(std::filesystem::exists(victim + ".quarantined"))
-          << "p" << parallelism;
-
-      // Reset for the next round: drop the evidence, re-commit pristine
-      // content under a fresh generation.
-      std::filesystem::remove(victim + ".quarantined");
-      ASSERT_TRUE(db.Persist("bib.xml").ok());
-    }
-  }
-  EXPECT_EQ(serial_detected, kTrials);
-  EXPECT_EQ(parallel_detected, kTrials);
-}
-
-TEST(ScrubTest, ParallelDeepScrubOnLargeSnapshotMatchesSerial) {
-  // A snapshot big enough to cross ParallelCrc32's 2 MiB chunking floor, so
-  // the parallel scrub really folds per-chunk CRCs with Crc32Combine; both
-  // shallow and deep parallel reports must match the serial ones field for
-  // field on a clean store.
-  TempDir dir("recovery_scrub_par_large");
-  {
+TEST(ScrubTest, QuarantinesSnapshotTruncatedOrDeletedAtRest) {
+  for (const AtRest damage : {AtRest::kTruncated, AtRest::kDeleted}) {
+    SCOPED_TRACE(AtRestName(damage));
+    TempDir dir("recovery_at_rest_scrub");
+    const std::string victim = SeedThreeDocStore(dir.path());
     Database db;
     ASSERT_TRUE(db.Attach(dir.path(), SnapshotOpenMode::kCopy).ok());
-    ASSERT_TRUE(db.RegisterDocument("big.xml", MakeBib(20000)).ok());
-    ASSERT_TRUE(db.Persist("big.xml").ok());
-  }
-  const std::string snapshot = OnlySnapshotIn(dir.path());
-  ASSERT_GT(std::filesystem::file_size(snapshot), 2u << 20)
-      << "snapshot too small to exercise chunked CRC";
-  Database db;
-  ASSERT_TRUE(db.Attach(dir.path(), SnapshotOpenMode::kMap, 4).ok());
-  for (const bool deep : {false, true}) {
-    ScrubOptions serial;
-    serial.deep = deep;
-    auto serial_report = db.Scrub(serial);
-    ASSERT_TRUE(serial_report.ok()) << serial_report.status().ToString();
+    DamageAtRest(victim, damage);
+    const uint64_t healthy_bytes =
+        std::filesystem::file_size(dir.path() + "/good1.xml-g1.xqpack") +
+        std::filesystem::file_size(dir.path() + "/good2.xml-g3.xqpack");
+    const uint64_t victim_bytes = damage == AtRest::kTruncated
+                                      ? std::filesystem::file_size(victim)
+                                      : 0;
 
-    ScrubOptions parallel = serial;
-    parallel.parallelism = 4;
-    auto parallel_report = db.Scrub(parallel);
-    ASSERT_TRUE(parallel_report.ok()) << parallel_report.status().ToString();
+    auto report = db.Scrub(ScrubOptions{});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->files_checked, 3u);
+    EXPECT_EQ(report->bytes_read, healthy_bytes + victim_bytes);
+    EXPECT_EQ(report->corrupt, 1u);
+    ASSERT_EQ(report->quarantined.size(), 1u);
+    const std::string& line = report->quarantined[0];
+    EXPECT_EQ(line.rfind("victim.xml (victim.xml-g2.xqpack): ", 0), 0u)
+        << line;
+    EXPECT_NE(line.find(AtRestReason(damage)), std::string::npos) << line;
+    EXPECT_EQ(std::filesystem::exists(victim + ".quarantined"),
+              damage == AtRest::kTruncated);
 
-    EXPECT_EQ(parallel_report->files_checked, serial_report->files_checked);
-    EXPECT_EQ(parallel_report->bytes_read, serial_report->bytes_read);
-    EXPECT_EQ(parallel_report->corrupt, 0u);
-    EXPECT_EQ(serial_report->corrupt, 0u);
-    EXPECT_TRUE(parallel_report->quarantined.empty());
+    // The victim keeps serving its load-time-validated copy, flagged; the
+    // other documents keep serving unflagged.
+    auto victim_result = db.Query("count(doc(\"victim.xml\")//book)");
+    ASSERT_TRUE(victim_result.ok()) << victim_result.status().ToString();
+    EXPECT_EQ(victim_result->value.at(0).StringValue(), "12");
+    EXPECT_TRUE(victim_result->degraded);
+    auto good_result = db.Query("count(doc(\"good2.xml\")//book)");
+    ASSERT_TRUE(good_result.ok()) << good_result.status().ToString();
+    EXPECT_EQ(good_result->value.at(0).StringValue(), "9");
+    EXPECT_FALSE(good_result->degraded);
+
+    // The quarantine is journaled: the next pass checks only the survivors.
+    auto second = db.Scrub(ScrubOptions{});
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(second->files_checked, 2u);
+    EXPECT_EQ(second->bytes_read, healthy_bytes);
+    EXPECT_EQ(second->corrupt, 0u);
   }
 }
 
