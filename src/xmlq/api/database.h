@@ -419,7 +419,7 @@ class Database {
     std::unique_ptr<storage::RegionIndex> regions;
     std::unique_ptr<storage::ValueIndex> values;
     std::unique_ptr<opt::Synopsis> synopsis;
-    /// Snapshot bytes the components borrow from (Database::Open only).
+    /// Snapshot bytes the components borrow from (opened documents only).
     /// Destruction order is irrelevant: component destructors never touch
     /// borrowed memory.
     std::unique_ptr<storage::SnapshotBacking> backing;
@@ -434,12 +434,11 @@ class Database {
     std::map<std::string, std::shared_ptr<const Entry>, std::less<>> entries;
     std::string default_document;
     /// Strictly increasing version of this catalog, bumped by every swap
-    /// (Install/Remove/Attach/quarantine). Cached plans record the
-    /// generation they were compiled under and never serve across one: any
-    /// semantic input to compilation or strategy choice (document set,
-    /// default document, synopsis) lives in the catalog, so a generation
-    /// match proves the cached plan is still what a fresh compile would
-    /// produce.
+    /// (MutateCatalog). Cached plans record the generation they were
+    /// compiled under and never serve across one: any semantic input to
+    /// compilation or strategy choice (document set, default document,
+    /// synopsis) lives in the catalog, so a generation match proves the
+    /// cached plan is still what a fresh compile would produce.
     uint64_t generation = 0;
     /// Documents the scrubber degraded (snapshot quarantined; serving an
     /// in-memory fallback): name -> note. Queries touching one surface the
@@ -452,6 +451,16 @@ class Database {
                                        : name);
       return it == entries.end() ? nullptr : it->second.get();
     }
+
+    /// Erases `name`'s entry and degraded note, re-picking a dropped default
+    /// document as the first remaining name. True when anything was erased.
+    bool Drop(const std::string& name) {
+      const bool erased = entries.erase(name) + degraded.erase(name) > 0;
+      if (default_document == name) {
+        default_document = entries.empty() ? "" : entries.begin()->first;
+      }
+      return erased;
+    }
   };
 
   friend class PreparedQuery;
@@ -461,10 +470,28 @@ class Database {
   std::shared_ptr<exec::StalenessGate> PinReadGate() const;
   Status Install(std::string name, std::shared_ptr<const Entry> entry);
 
-  /// Moves an opened snapshot's components into a catalog entry (shared by
-  /// Open, Attach and the scrubber's in-memory fallback).
-  static std::shared_ptr<Entry> EntryFromSnapshot(
-      storage::OpenedSnapshot snapshot);
+  /// The one catalog swap: copies the state and lets `mutate` edit the
+  /// copy; only when it reports a change does the copy get the next
+  /// generation, replace the catalog and sweep older cached plans.
+  void MutateCatalog(const std::function<bool(CatalogState&)>& mutate);
+  /// Moves a document's components (built, or opened with their backing)
+  /// into a catalog entry and derives its synopsis and view.
+  static std::shared_ptr<Entry> MakeEntry(storage::OpenedSnapshot parts);
+
+  // The store half (database_store.cc). These three run with store_mu_
+  // held.
+  /// kInvalidArgument unless a store is attached.
+  Status RequireStore() const;
+  /// Journals `record`, whose snapshot is written (the commit point, then
+  /// kill point "<kill_prefix>.committed"), unlinks the generation it
+  /// supersedes and compacts the journal when due.
+  Status CommitRegister(const storage::ManifestRecord& record,
+                        std::string_view kill_prefix);
+  /// Journals a kRemove of `name` (live in the manifest) under `generation`
+  /// between kill points "remove.begin" and "remove.committed", then
+  /// unlinks its snapshot.
+  Status CommitRemove(const std::string& name, uint64_t generation);
+
   /// Quarantines the snapshot behind `record` (rename + journal append,
   /// under store_mu_) and degrades or drops the serving catalog entry.
   /// `reason` is the verification error; findings land in `report`.
@@ -519,7 +546,7 @@ class Database {
   // pointer; readers hold it only for the shared_ptr copy.
   mutable std::mutex catalog_mu_;
   std::shared_ptr<const CatalogState> catalog_ =
-      std::make_shared<CatalogState>();
+      std::make_shared<const CatalogState>();
 
   // Serving state, shared by every concurrent query. All mutable so the
   // const (read-only-catalog) query paths can use them.

@@ -138,13 +138,11 @@ struct SnapshotWriteInfo {
 /// scrubber uses it to re-read and quarantine the on-disk copy.
 class SnapshotBacking {
  public:
-  SnapshotBacking(FileBytes bytes, SnapshotOpenMode mode,
-                  std::vector<SnapshotSectionInfo> sections,
+  SnapshotBacking(FileBytes bytes, std::vector<SnapshotSectionInfo> sections,
                   std::string path = {})
-      : bytes_(std::move(bytes)), mode_(mode),
-        sections_(std::move(sections)), path_(std::move(path)) {}
+      : bytes_(std::move(bytes)), sections_(std::move(sections)),
+        path_(std::move(path)) {}
 
-  SnapshotOpenMode mode() const { return mode_; }
   uint64_t file_size() const { return bytes_.size(); }
   const std::vector<SnapshotSectionInfo>& sections() const {
     return sections_;
@@ -154,7 +152,6 @@ class SnapshotBacking {
 
  private:
   FileBytes bytes_;
-  SnapshotOpenMode mode_;
   std::vector<SnapshotSectionInfo> sections_;
   std::string path_;
 };
@@ -192,14 +189,13 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
 /// (when non-empty) is recorded on the backing and prefixed onto every
 /// corruption error.
 Result<OpenedSnapshot> OpenSnapshotFromBytes(FileBytes bytes,
-                                             SnapshotOpenMode mode,
                                              std::string path = {});
 
-/// Re-validates a snapshot image without constructing components: header,
-/// section table, padding and every section CRC; `deep` additionally runs
-/// the full structural validation (the integrity scrubber's slow pass).
+/// Re-validates a private (never mapped) snapshot image: header, section
+/// table, padding and every section CRC; `deep` additionally runs the full
+/// structural validation (the integrity scrubber's slow pass) in place.
 /// Returns the same positioned kParseError Status family as OpenSnapshot.
-Status VerifySnapshotImage(std::span<const char> bytes, bool deep,
+Status VerifySnapshotImage(FileBytes bytes, bool deep,
                            const std::string& path = {});
 
 }  // namespace xmlq::storage

@@ -413,7 +413,6 @@ Status AnnotatePath(Status status, const std::string& path) {
 }
 
 Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
-                                                 SnapshotOpenMode mode,
                                                  const std::string& path) {
   Layout layout;
   XMLQ_RETURN_IF_ERROR(ParseLayout(bytes.bytes(), &layout));
@@ -709,7 +708,7 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
   out.succinct = std::move(succinct);
   out.regions = std::move(regions);
   out.values = std::move(values);
-  out.backing = std::make_unique<SnapshotBacking>(std::move(bytes), mode,
+  out.backing = std::make_unique<SnapshotBacking>(std::move(bytes),
                                                   std::move(infos), path);
   return out;
 }
@@ -717,25 +716,20 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
 }  // namespace
 
 Result<OpenedSnapshot> OpenSnapshotFromBytes(FileBytes bytes,
-                                             SnapshotOpenMode mode,
                                              std::string path) {
-  auto opened = OpenSnapshotFromBytesImpl(std::move(bytes), mode, path);
+  auto opened = OpenSnapshotFromBytesImpl(std::move(bytes), path);
   if (!opened.ok()) return AnnotatePath(opened.status(), path);
   return opened;
 }
 
-Status VerifySnapshotImage(std::span<const char> bytes, bool deep,
+Status VerifySnapshotImage(FileBytes bytes, bool deep,
                            const std::string& path) {
   if (!deep) {
     Layout layout;
-    return AnnotatePath(ParseLayout(bytes, &layout), path);
+    return AnnotatePath(ParseLayout(bytes.bytes(), &layout), path);
   }
-  // The deep pass re-runs every structural invariant the open path checks,
-  // on a defensive copy so a concurrently rotting mapping cannot shift
-  // under the validators.
-  auto full = OpenSnapshotFromBytes(
-      FileBytes::Copy(std::string_view(bytes.data(), bytes.size())),
-      SnapshotOpenMode::kCopy, path);
+  // The deep pass re-runs every structural invariant the open path checks.
+  auto full = OpenSnapshotFromBytes(std::move(bytes), path);
   return full.ok() ? Status::Ok() : full.status();
 }
 
@@ -751,7 +745,7 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
   } else {
     XMLQ_ASSIGN_OR_RETURN(bytes, FileBytes::ReadWhole(path));
   }
-  return OpenSnapshotFromBytes(std::move(bytes), mode, path);
+  return OpenSnapshotFromBytes(std::move(bytes), path);
 }
 
 }  // namespace xmlq::storage

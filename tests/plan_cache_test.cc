@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -555,20 +556,29 @@ TEST(PlanCacheTest, RemoveInvalidates) {
 }
 
 TEST(PlanCacheTest, FailedRemoveDoesNotInvalidate) {
-  // Removing a document that doesn't exist must not bump the catalog
-  // generation: a failed remove changing nothing must not wipe every
-  // cached plan.
+  // Removing a document that doesn't exist, locally or as a replicated
+  // remove, must not bump the catalog generation: a drop changing nothing
+  // must not wipe every cached plan.
+  const std::string store = "plan_cache_failed_remove_store";
+  std::filesystem::remove_all(store);
   api::Database db;
+  ASSERT_TRUE(db.Attach(store).ok());
   ASSERT_TRUE(db.LoadDocument("a.xml", kBib).ok());
   ASSERT_TRUE(db.QueryPath("//book/title", "a.xml").ok());
   ASSERT_EQ(db.plan_cache_stats().entries, 1u);
   EXPECT_EQ(db.Remove("nope.xml").code(), StatusCode::kNotFound);
+  EXPECT_TRUE(db.ApplyReplicatedRemove("nope.xml", 1).ok());
+  // A replicated remove drops only what the store holds, and a.xml was
+  // never persisted.
+  EXPECT_TRUE(db.ApplyReplicatedRemove("a.xml", 1).ok());
+  EXPECT_TRUE(db.Contains("a.xml"));
   const cache::CacheStats stats = db.plan_cache_stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.invalidations, 0u);
   auto again = db.QueryPath("//book/title", "a.xml");
   ASSERT_TRUE(again.ok());
   EXPECT_GE(db.plan_cache_stats().hits, 1u);
+  std::filesystem::remove_all(store);
 }
 
 TEST(PlanCacheTest, EvictionUnderMemoryBudget) {

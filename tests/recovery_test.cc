@@ -698,6 +698,60 @@ TEST(DurableStoreTest, AttachQuarantinesSnapshotTruncatedOrDeletedAtRest) {
   }
 }
 
+// Remove, the replicated remove and a scrub that finds a mapped document's
+// bytes corrupt all drop through one catalog step: each re-picks the
+// default document as the first remaining name, the way Remove always has.
+TEST(DurableStoreTest, EveryDropPathRepicksTheDefaultDocumentAlike) {
+  enum class Drop { kRemove, kReplicatedRemove, kQuarantine };
+  for (const Drop drop :
+       {Drop::kRemove, Drop::kReplicatedRemove, Drop::kQuarantine}) {
+    SCOPED_TRACE(static_cast<int>(drop));
+    TempDir dir("recovery_drop_default");
+    {
+      // m.xml is persisted first (g1), so Attach makes it the default;
+      // z.xml is next by generation, b.xml first by name.
+      Database seed;
+      ASSERT_TRUE(seed.Attach(dir.path(), SnapshotOpenMode::kCopy).ok());
+      for (const char* name : {"m.xml", "z.xml", "b.xml"}) {
+        ASSERT_TRUE(seed.RegisterDocument(name, MakeBib(5)).ok());
+        ASSERT_TRUE(seed.Persist(name).ok());
+      }
+    }
+    Database db;
+    ASSERT_TRUE(db.Attach(dir.path(), SnapshotOpenMode::kMap).ok());
+    ASSERT_EQ(db.default_document(), "m.xml");
+    switch (drop) {
+      case Drop::kRemove:
+        ASSERT_TRUE(db.Remove("m.xml").ok());
+        break;
+      case Drop::kReplicatedRemove:
+        ASSERT_TRUE(db.ApplyReplicatedRemove("m.xml", 4).ok());
+        break;
+      case Drop::kQuarantine: {
+        // The mapping reads the corrupt bytes too, so the revalidated
+        // in-memory copy fails as well and the document is dropped.
+        const std::string victim = dir.path() + "/m.xml-g1.xqpack";
+        std::string bytes = ReadRaw(victim);
+        bytes[bytes.size() / 2] ^= 0x01;
+        WriteRaw(victim, bytes);
+        auto report = db.Scrub(ScrubOptions{});
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_EQ(report->corrupt, 1u);
+        ASSERT_EQ(report->notes.size(), 1u);
+        EXPECT_NE(report->notes[0].find("document dropped"),
+                  std::string::npos)
+            << report->ToString();
+        break;
+      }
+    }
+    EXPECT_FALSE(db.Contains("m.xml"));
+    EXPECT_EQ(db.default_document(), "b.xml");
+    auto titles = db.QueryPath("//book/title");
+    ASSERT_TRUE(titles.ok()) << titles.status().ToString();
+    EXPECT_EQ(titles->value.size(), 5u);
+  }
+}
+
 TEST(DurableStoreTest, AttachSweepsOrphanFiles) {
   TempDir dir("recovery_orphans");
   SeedStore(dir.path());
@@ -808,9 +862,8 @@ TEST(ScrubTest, DetectsEverySingleBitFlipBehindRecomputedChecksums) {
     // The in-file checksums really are consistent: deep verification of
     // the corrupted image succeeds or fails only on *structural* grounds,
     // shallow (checksum-level) verification must pass.
-    ASSERT_TRUE(storage::VerifySnapshotImage(
-                    std::span<const char>(corrupt.data(), corrupt.size()),
-                    /*deep=*/false)
+    ASSERT_TRUE(storage::VerifySnapshotImage(FileBytes::Copy(corrupt),
+                                             /*deep=*/false)
                     .ok());
     WriteRaw(victim, corrupt);
 

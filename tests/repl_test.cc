@@ -663,22 +663,29 @@ Shipment BuildShipment(const std::string& dir, size_t books) {
   return shipment;
 }
 
-/// Forks a child that attaches `dir`, arms XMLQ_CRASH=`site`, and applies
-/// the shipment. 2 = killed at the site, 0 = completed without hitting it.
-int RunApplyCrashChild(const std::string& dir, const Shipment& shipment,
-                       const std::string& site) {
+/// Forks a child that attaches `dir`, arms XMLQ_CRASH=`site`, and runs
+/// `apply` on it. 2 = killed at the site, 0 = completed without hitting it.
+int RunCrashChild(const std::string& dir, const std::string& site,
+                  const std::function<Status(Database&)>& apply) {
   const pid_t pid = fork();
   if (pid == 0) {
     // In the child: only _exit() paths from here on (no gtest teardown).
     Database db;
     if (!db.Attach(dir, SnapshotOpenMode::kCopy).ok()) _exit(3);
     ::setenv("XMLQ_CRASH", site.c_str(), 1);
-    const Status status = db.ApplyReplicated(shipment.record, shipment.bytes);
-    _exit(status.ok() ? 0 : 4);
+    _exit(apply(db).ok() ? 0 : 4);
   }
   int wstatus = 0;
   waitpid(pid, &wstatus, 0);
   return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+}
+
+/// RunCrashChild applying `shipment`.
+int RunApplyCrashChild(const std::string& dir, const Shipment& shipment,
+                       const std::string& site) {
+  return RunCrashChild(dir, site, [&](Database& db) {
+    return db.ApplyReplicated(shipment.record, shipment.bytes);
+  });
 }
 
 /// Files in `dir` (names only), for the no-stray-files assertion.
@@ -753,6 +760,54 @@ TEST(ReplCrashMatrixTest, EveryApplyKillPointRecoversToOldOrNew) {
       const std::vector<std::string> files = StoreFiles(dir.path());
       EXPECT_EQ(files.size(), 1 + live_docs) << "stray files left behind";
     }
+  }
+}
+
+// The replicated remove runs through the same remove commit as Remove, so
+// it has Remove's kill points: a crash at any of them recovers to exactly
+// the seeded v1 or to no document, never a quarantine or a stray file.
+TEST(ReplCrashMatrixTest, EveryRemoveKillPointRecoversToOldOrNothing) {
+  const char* kSites[] = {"remove.begin", "file.append.torn",
+                          "file.append.written", "file.append.synced",
+                          "remove.committed"};
+  TempDir source("repl_remove_crash_src");
+  const Shipment v1 = BuildShipment(source.path(), 12);
+  Database oracle;
+  ASSERT_TRUE(oracle.RegisterDocument("bib.xml", MakeBib(12)).ok());
+  const std::string old_image = DocImage(oracle, "bib.xml");
+
+  for (const char* site : kSites) {
+    SCOPED_TRACE(site);
+    TempDir dir("repl_remove_crash_follower");
+    {
+      Database seed;
+      ASSERT_TRUE(seed.Attach(dir.path()).ok());
+      ASSERT_TRUE(seed.ApplyReplicated(v1.record, v1.bytes).ok());
+    }
+    const int code = RunCrashChild(dir.path(), site, [&](Database& db) {
+      return db.ApplyReplicatedRemove("bib.xml", v1.record.generation + 1);
+    });
+    ASSERT_EQ(code, 2) << "site not reached";
+
+    Database recovered;
+    auto report = recovered.Attach(dir.path());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->quarantined.empty()) << report->ToString();
+    const std::string got = DocImage(recovered, "bib.xml");
+    EXPECT_TRUE(got == old_image || got.empty())
+        << "torn state: " << got.size() << " bytes matches neither state";
+    // Before any write the remove never happened; after the fsync'd
+    // append it has.
+    if (std::string_view(site) == "remove.begin") {
+      EXPECT_EQ(got, old_image);
+    }
+    if (std::string_view(site) == "remove.committed") {
+      EXPECT_TRUE(got.empty());
+    }
+    auto delta = recovered.ReplDeltaFrom(0);
+    ASSERT_TRUE(delta.ok());
+    EXPECT_EQ(StoreFiles(dir.path()).size(), 1 + delta->live.size())
+        << "stray files left behind";
   }
 }
 

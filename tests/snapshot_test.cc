@@ -357,7 +357,7 @@ void ExerciseOpened(const storage::OpenedSnapshot& snapshot) {
 
 void FuzzOpen(std::string image) {
   FileBytes bytes = FileBytes::Copy(image);
-  auto opened = OpenSnapshotFromBytes(std::move(bytes), SnapshotOpenMode::kCopy);
+  auto opened = OpenSnapshotFromBytes(std::move(bytes));
   if (opened.ok()) {
     ExerciseOpened(*opened);
   } else {
@@ -580,14 +580,14 @@ TEST(SnapshotTest, RefusesVersionOneImages) {
 
   const std::string want = "unsupported version 1 (expected 2)";
   auto opened =
-      OpenSnapshotFromBytes(FileBytes::Copy(old), SnapshotOpenMode::kCopy);
+      OpenSnapshotFromBytes(FileBytes::Copy(old));
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
   EXPECT_NE(opened.status().message().find("header at offset 0: " + want),
             std::string::npos)
       << opened.status().ToString();
   for (const bool deep : {false, true}) {
-    const Status verified = VerifySnapshotImage(old, deep);
+    const Status verified = VerifySnapshotImage(FileBytes::Copy(old), deep);
     EXPECT_NE(verified.message().find(want), std::string::npos)
         << verified.ToString();
   }
@@ -648,8 +648,7 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
     std::string bad = image;
     std::memcpy(bad.data() + offset, mutated.data(), section.size());
     FixChecksums(&bad);
-    return OpenSnapshotFromBytes(FileBytes::Copy(bad),
-                                 SnapshotOpenMode::kCopy);
+    return OpenSnapshotFromBytes(FileBytes::Copy(bad));
   };
   // A text run out of value order: EqualRun's binary search would miss rows.
   auto swapped = entries;
@@ -692,8 +691,7 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
     std::memcpy(bad.data() + (numeric_section.data() - image.data()),
                 mutated.data(), numeric_section.size());
     FixChecksums(&bad);
-    opened = OpenSnapshotFromBytes(FileBytes::Copy(bad),
-                                   SnapshotOpenMode::kCopy);
+    opened = OpenSnapshotFromBytes(FileBytes::Copy(bad));
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
     EXPECT_NE(opened.status().message().find("value_element_numeric at offset"),
@@ -783,8 +781,7 @@ TEST(SnapshotTest, CorruptRegionIndexRejected) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     const std::string bad = ReplaceSection(image, c.id, as_bytes(c.payload));
-    auto opened =
-        OpenSnapshotFromBytes(FileBytes::Copy(bad), SnapshotOpenMode::kCopy);
+    auto opened = OpenSnapshotFromBytes(FileBytes::Copy(bad));
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
     EXPECT_NE(opened.status().message().find(std::string(c.section) +
