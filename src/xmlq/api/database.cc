@@ -80,6 +80,8 @@ Status Database::Install(std::string name,
                          std::shared_ptr<const Entry> entry) {
   MutateCatalog([&](CatalogState& next) {
     if (next.entries.empty()) next.default_document = name;
+    // A degraded note describes the entry being replaced, not this one.
+    next.degraded.erase(name);
     next.entries[std::move(name)] = std::move(entry);
     return true;
   });

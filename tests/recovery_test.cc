@@ -936,6 +936,14 @@ TEST(ScrubTest, QuarantinesSnapshotTruncatedOrDeletedAtRest) {
     EXPECT_EQ(second->files_checked, 2u);
     EXPECT_EQ(second->bytes_read, healthy_bytes);
     EXPECT_EQ(second->corrupt, 0u);
+
+    // Registering the document again replaces the degraded entry, and the
+    // note goes with it.
+    ASSERT_TRUE(db.RegisterDocument("victim.xml", MakeBib(12)).ok());
+    auto fresh = db.Query("count(doc(\"victim.xml\")//book)");
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(fresh->value.at(0).StringValue(), "12");
+    EXPECT_FALSE(fresh->degraded) << fresh->degradation;
   }
 }
 

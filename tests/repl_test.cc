@@ -1361,6 +1361,10 @@ TEST_F(ReplEndToEndTest, ScrubberQuarantineSelfHealsFromPrimary) {
            follower_db_->Contains("bib.xml");
   })) << follower_->stats().ToString();
   EXPECT_EQ(DocImage(*follower_db_, "bib.xml"), image);
+  // The healed entry replaced the degraded one, so reads are unflagged.
+  auto healed = follower_db_->Query("count(doc(\"bib.xml\")//book)");
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_FALSE(healed->degraded) << healed->degradation;
   follower_->Stop();
   follower_.reset();
   follower_db_.reset();
