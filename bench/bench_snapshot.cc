@@ -27,8 +27,8 @@ const std::string& SnapshotPath(int permille) {
   if (slot.empty()) {
     slot = "bench_snapshot_" + std::to_string(permille) + ".xqpack";
     const LoadedDoc& doc = AuctionDoc(permille);
-    auto info = storage::WriteSnapshot(slot, *doc.dom, *doc.succinct,
-                                       *doc.regions, *doc.values);
+    auto info =
+        storage::WriteSnapshot(slot, *doc.dom, *doc.succinct, *doc.values);
     if (!info.ok()) {
       std::fprintf(stderr, "snapshot write failed: %s\n",
                    info.status().ToString().c_str());

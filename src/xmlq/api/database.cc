@@ -120,7 +120,7 @@ Result<storage::SnapshotWriteInfo> Database::Save(
                             "\" is not loaded");
   }
   return storage::WriteSnapshot(path, *entry->dom, *entry->succinct,
-                                *entry->regions, *entry->values);
+                                *entry->values);
 }
 
 void Database::SetReadGate(std::shared_ptr<exec::StalenessGate> gate) const {

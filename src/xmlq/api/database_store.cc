@@ -286,12 +286,17 @@ Status Database::Persist(std::string_view name) {
   XMLQ_ASSIGN_OR_RETURN(
       storage::SnapshotWriteInfo info,
       storage::WriteSnapshot(manifest_->dir() + "/" + record.file,
-                             *entry->dom, *entry->succinct, *entry->regions,
-                             *entry->values));
+                             *entry->dom, *entry->succinct, *entry->values));
   XMLQ_CRASH_POINT("persist.snapshot_written");
   record.snapshot_size = info.file_size;
   record.snapshot_crc = info.file_crc;
-  return CommitRegister(record, "persist");
+  XMLQ_RETURN_IF_ERROR(CommitRegister(record, "persist"));
+  // The committed snapshot replaces a quarantined one, so a degraded note
+  // no longer describes the entry.
+  MutateCatalog([&](CatalogState& next) {
+    return next.degraded.erase(doc_name) != 0;
+  });
+  return Status::Ok();
 }
 
 Status Database::Remove(std::string_view name) {
@@ -405,9 +410,18 @@ Status Database::QuarantineSnapshot(const storage::ManifestRecord& record,
   std::string note;
   std::shared_ptr<const Entry> replacement;
   bool drop = false;
+  // A file truncated at rest no longer backs the whole mapping, and reading
+  // past its end raises SIGBUS: such a document is dropped unread.
+  std::error_code size_ec;
+  const uint64_t quarantined_size =
+      std::filesystem::file_size(path + ".quarantined", size_ec);
   if (!mapped) {
     note = "snapshot quarantined (" + reason +
            "); serving load-time-validated in-memory copy";
+  } else if (!size_ec && quarantined_size < entry.backing->file_size()) {
+    drop = true;
+    note = "snapshot quarantined and mapped file truncated (" + reason +
+           "); document dropped";
   } else {
     auto reopened = storage::OpenSnapshotFromBytes(
         FileBytes::Copy(std::string_view(entry.backing->bytes().data(),

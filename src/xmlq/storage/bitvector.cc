@@ -7,17 +7,11 @@
 namespace xmlq::storage {
 
 BitVector BitVector::FromExternal(std::span<const uint64_t> words,
-                                  size_t bits,
-                                  std::span<const uint64_t> super_ranks,
-                                  size_t ones) {
+                                  size_t bits) {
   assert(words.size() == ExpectedWords(bits));
-  assert(super_ranks.size() == ExpectedSuperRanks(bits));
   BitVector out;
   out.words_ = ArrayRef<uint64_t>::View(words);
-  out.super_ranks_ = ArrayRef<uint64_t>::View(super_ranks);
   out.size_ = bits;
-  out.ones_ = ones;
-  out.frozen_ = true;
   return out;
 }
 
@@ -35,7 +29,7 @@ void BitVector::Freeze() {
     }
   }
   supers[num_supers] = running;
-  super_ranks_.Assign(std::move(supers));
+  super_ranks_ = std::move(supers);
   ones_ = running;
   frozen_ = true;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "xmlq/base/array_ref.h"
 
@@ -15,20 +16,18 @@ namespace xmlq::storage {
 ///
 /// Usage: push bits (or whole runs), call Freeze() once, then query.
 ///
-/// Storage is an ArrayRef, so a frozen vector can alternatively be
-/// constructed directly over externally owned words + directory (a section of
-/// an mmap'd snapshot) via FromExternal — the zero-copy open path.
+/// Storage is an ArrayRef, so a vector can alternatively be built over
+/// externally owned words (a section of an mmap'd snapshot) via FromExternal
+/// — the zero-copy open path; Freeze() then builds the directory on the heap.
 class BitVector {
  public:
   BitVector() = default;
 
-  /// Adopts frozen external storage (e.g. mapped snapshot sections). `words`
-  /// must hold ceil(bits/64) words, `super_ranks` the directory Freeze()
-  /// would build (callers validate; see snapshot_reader). The memory must
-  /// outlive the BitVector and every copy of it.
-  static BitVector FromExternal(std::span<const uint64_t> words, size_t bits,
-                                std::span<const uint64_t> super_ranks,
-                                size_t ones);
+  /// Borrows `words` (e.g. a mapped snapshot section) as the payload of a
+  /// `bits`-bit vector, which the caller then Freeze()s. `words` must hold
+  /// ceil(bits/64) words with zero bits past `bits` (callers validate; see
+  /// snapshot_reader), and must outlive the BitVector and every copy of it.
+  static BitVector FromExternal(std::span<const uint64_t> words, size_t bits);
 
   /// Appends one bit. Must not be called after Freeze().
   void PushBack(bool bit) {
@@ -68,13 +67,11 @@ class BitVector {
     return words_.size() * sizeof(uint64_t) +
            super_ranks_.size() * sizeof(uint64_t);
   }
-  /// Heap bytes actually owned (0 when backed by a mapped snapshot).
+  /// Heap bytes actually owned (the directory only, when the words are
+  /// borrowed from a mapped snapshot).
   size_t HeapBytes() const {
-    return words_.OwnedBytes() + super_ranks_.OwnedBytes();
+    return words_.OwnedBytes() + super_ranks_.capacity() * sizeof(uint64_t);
   }
-
-  /// True when backed by externally owned (snapshot) memory.
-  bool external() const { return words_.external(); }
 
   // -- Snapshot serialization hooks ----------------------------------------
 
@@ -85,16 +82,11 @@ class BitVector {
   std::span<const uint64_t> WordSpan() const { return words_.span(); }
   /// Superblock rank directory (one entry per superblock, plus the total).
   /// Empty before Freeze().
-  std::span<const uint64_t> SuperRankSpan() const {
-    return super_ranks_.span();
-  }
+  std::span<const uint64_t> SuperRankSpan() const { return super_ranks_; }
   static constexpr size_t kWordsPerSuper = 8;  // 512-bit superblocks
 
-  /// Directory entries Freeze()/FromExternal expect for `bits` bits.
+  /// Payload words a `bits`-bit vector holds.
   static size_t ExpectedWords(size_t bits) { return (bits + 63) / 64; }
-  static size_t ExpectedSuperRanks(size_t bits) {
-    return (ExpectedWords(bits) + kWordsPerSuper - 1) / kWordsPerSuper + 1;
-  }
 
  private:
 
@@ -103,7 +95,7 @@ class BitVector {
   bool frozen_ = false;
   size_t ones_ = 0;
   // super_ranks_[s] = number of 1-bits before superblock s.
-  ArrayRef<uint64_t> super_ranks_;
+  std::vector<uint64_t> super_ranks_;
 };
 
 }  // namespace xmlq::storage

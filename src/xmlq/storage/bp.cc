@@ -1,20 +1,41 @@
 #include "xmlq/storage/bp.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 
 namespace xmlq::storage {
 
-BalancedParens BalancedParens::FromExternal(
-    BitVector bits, std::span<const ExcessBlock> word_dir,
-    std::span<const ExcessBlock> super_dir) {
-  assert(word_dir.size() == ExpectedWordDir(bits.size()));
-  assert(super_dir.size() == ExpectedSuperDir(bits.size()));
+namespace {
+
+/// The excess summary of each 8-bit chunk (bits LSB first), so Freeze walks
+/// a word a byte at a time.
+constexpr std::array<BalancedParens::ExcessBlock, 256> MakeByteExcess() {
+  std::array<BalancedParens::ExcessBlock, 256> table{};
+  for (int byte = 0; byte < 256; ++byte) {
+    int32_t run = 0;
+    int32_t mn = 8;
+    int32_t mx = -8;
+    for (int b = 0; b < 8; ++b) {
+      run += ((byte >> b) & 1) ? 1 : -1;
+      mn = std::min(mn, run);
+      mx = std::max(mx, run);
+    }
+    table[byte] = {run, mn, mx};
+  }
+  return table;
+}
+constexpr std::array<BalancedParens::ExcessBlock, 256> kByteExcess =
+    MakeByteExcess();
+
+}  // namespace
+
+BalancedParens BalancedParens::FromExternal(std::span<const uint64_t> words,
+                                           size_t bits) {
   BalancedParens out;
-  out.bits_ = std::move(bits);
-  out.words_ = ArrayRef<ExcessBlock>::View(word_dir);
-  out.supers_ = ArrayRef<ExcessBlock>::View(super_dir);
+  out.bits_ = BitVector::FromExternal(words, bits);
+  out.Freeze();
   return out;
 }
 
@@ -29,7 +50,14 @@ void BalancedParens::Freeze() {
     int32_t run = 0;
     int32_t mn = std::numeric_limits<int32_t>::max();
     int32_t mx = std::numeric_limits<int32_t>::min();
-    for (size_t b = 0; b < valid; ++b) {
+    size_t b = 0;
+    for (; b + 8 <= valid; b += 8) {
+      const ExcessBlock& chunk = kByteExcess[(word >> b) & 0xff];
+      mn = std::min(mn, run + chunk.min);
+      mx = std::max(mx, run + chunk.max);
+      run += chunk.total;
+    }
+    for (; b < valid; ++b) {
       run += ((word >> b) & 1) ? 1 : -1;
       mn = std::min(mn, run);
       mx = std::max(mx, run);
@@ -51,8 +79,8 @@ void BalancedParens::Freeze() {
     }
     supers[s] = ExcessBlock{run, mn, mx};
   }
-  words_.Assign(std::move(words));
-  supers_.Assign(std::move(supers));
+  words_ = std::move(words);
+  supers_ = std::move(supers);
 }
 
 size_t BalancedParens::FwdSearch(size_t i, int64_t d) const {

@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
-#include "xmlq/base/array_ref.h"
 #include "xmlq/storage/bitvector.h"
 
 namespace xmlq::storage {
@@ -31,24 +31,22 @@ inline constexpr size_t kNoPos = SIZE_MAX;
 /// the experiments use.
 class BalancedParens {
  public:
-  /// One directory entry; the payload of the snapshot directory sections.
+  /// One excess-directory entry.
   struct ExcessBlock {
     int32_t total = 0;  // excess delta across the block
     int32_t min = 0;    // min prefix excess within the block (relative)
     int32_t max = 0;    // max prefix excess within the block (relative)
   };
-  static_assert(sizeof(ExcessBlock) == 12, "serialized layout");
 
   static constexpr size_t kWordsPerSuper = 64;  // 4096-bit superblocks
 
   BalancedParens() = default;
 
-  /// Adopts a frozen bit sequence plus externally owned directories (mapped
-  /// snapshot sections) — the zero-copy open path. Directory sizes must
-  /// match what Freeze() would build (callers validate).
-  static BalancedParens FromExternal(BitVector bits,
-                                     std::span<const ExcessBlock> word_dir,
-                                     std::span<const ExcessBlock> super_dir);
+  /// Borrows `words` (a mapped snapshot section) as a `bits`-bit sequence
+  /// and builds the rank and excess directories over it with Freeze() — the
+  /// open path. Same preconditions as BitVector::FromExternal.
+  static BalancedParens FromExternal(std::span<const uint64_t> words,
+                                     size_t bits);
 
   /// Appends an open (true) / close (false) parenthesis.
   void PushBack(bool open) { bits_.PushBack(open); }
@@ -92,22 +90,18 @@ class BalancedParens {
 
   /// Bytes referenced by the sequence plus directories (owned or borrowed).
   size_t MemoryUsage() const;
-  /// Heap bytes actually owned (0 when backed by a mapped snapshot).
+  /// Heap bytes actually owned (the directories only, when the bits are
+  /// borrowed from a mapped snapshot).
   size_t HeapBytes() const {
-    return bits_.HeapBytes() + words_.OwnedBytes() + supers_.OwnedBytes();
+    return bits_.HeapBytes() +
+           (words_.capacity() + supers_.capacity()) * sizeof(ExcessBlock);
   }
 
-  // -- Snapshot serialization hooks ----------------------------------------
+  // -- Raw parts (snapshot writer, tests) ---------------------------------
 
   const BitVector& bits() const { return bits_; }
-  std::span<const ExcessBlock> WordDirSpan() const { return words_.span(); }
-  std::span<const ExcessBlock> SuperDirSpan() const { return supers_.span(); }
-  static size_t ExpectedWordDir(size_t bits) {
-    return BitVector::ExpectedWords(bits);
-  }
-  static size_t ExpectedSuperDir(size_t bits) {
-    return (ExpectedWordDir(bits) + kWordsPerSuper - 1) / kWordsPerSuper;
-  }
+  std::span<const ExcessBlock> WordDirSpan() const { return words_; }
+  std::span<const ExcessBlock> SuperDirSpan() const { return supers_; }
 
  private:
   /// Smallest j > i with excess(j) == excess(i) + d (d < 0 in our uses).
@@ -117,8 +111,8 @@ class BalancedParens {
   int64_t BwdSearch(size_t i, int64_t d) const;
 
   BitVector bits_;
-  ArrayRef<ExcessBlock> words_;   // one per 64-bit word
-  ArrayRef<ExcessBlock> supers_;  // one per kWordsPerSuper words
+  std::vector<ExcessBlock> words_;   // one per 64-bit word
+  std::vector<ExcessBlock> supers_;  // one per kWordsPerSuper words
 };
 
 }  // namespace xmlq::storage

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "xmlq/base/array_ref.h"
 #include "xmlq/base/status.h"
 #include "xmlq/xml/document.h"
 
@@ -37,8 +36,8 @@ struct Region {
 /// structural joins [12] and holistic twig joins [13] turn into region
 /// streams.
 ///
-/// All six arrays live in ArrayRef storage, so an index can be opened
-/// zero-copy over the region sections of an mmap'd snapshot (FromExternal).
+/// The index is always built from a DOM tree, also when a snapshot is
+/// opened: one linear pass gives it, so snapshots do not store it.
 class RegionIndex {
  public:
   RegionIndex() = default;
@@ -50,16 +49,6 @@ class RegionIndex {
   /// can force the build-failure path; identical to the constructor
   /// otherwise.
   static Result<RegionIndex> TryBuild(const xml::Document& doc);
-
-  /// Adopts externally owned arrays (mapped snapshot sections); the memory
-  /// must outlive the index. Callers validate sizes, postings and offset
-  /// fences (see snapshot_reader).
-  static RegionIndex FromExternal(
-      std::span<const uint32_t> end, std::span<const uint32_t> level,
-      std::span<const xml::NodeId> element_postings,
-      std::span<const uint32_t> element_offsets,
-      std::span<const xml::NodeId> attribute_postings,
-      std::span<const uint32_t> attribute_offsets);
 
   /// The elements (or attributes) named `name` in document order; empty for
   /// unknown names.
@@ -78,34 +67,31 @@ class RegionIndex {
     return Region{id, end_[id], level_[id]};
   }
 
-  /// Bytes referenced (owned or borrowed).
+  /// Bytes of the arrays.
   size_t MemoryUsage() const;
-  /// Heap bytes actually owned (0 when backed by a mapped snapshot).
-  size_t HeapBytes() const;
+  /// Heap bytes owned (the index is always built, so this equals
+  /// MemoryUsage; present for the uniform per-component accounting API).
+  size_t HeapBytes() const { return MemoryUsage(); }
 
-  // -- Snapshot serialization hooks ----------------------------------------
-
-  std::span<const uint32_t> EndSpan() const { return end_.span(); }
-  std::span<const uint32_t> LevelSpan() const { return level_.span(); }
+  /// The raw arrays (benchmarks and tests).
+  std::span<const uint32_t> EndSpan() const { return end_; }
+  std::span<const uint32_t> LevelSpan() const { return level_; }
   std::span<const xml::NodeId> PostingSpan(bool attribute) const {
-    return FamilyFor(attribute).ids.span();
-  }
-  std::span<const uint32_t> PostingOffsetSpan(bool attribute) const {
-    return FamilyFor(attribute).offsets.span();
+    return FamilyFor(attribute).ids;
   }
 
  private:
   /// The posting lists of one node kind, grouped per name.
   struct Family {
-    ArrayRef<xml::NodeId> ids;  // per name, document order
-    ArrayRef<uint32_t> offsets;  // indexed by NameId, size+1 fence
+    std::vector<xml::NodeId> ids;  // per name, document order
+    std::vector<uint32_t> offsets;  // indexed by NameId, size+1 fence
   };
   const Family& FamilyFor(bool attribute) const {
     return attribute ? attributes_ : elements_;
   }
 
-  ArrayRef<uint32_t> end_;    // per NodeId
-  ArrayRef<uint32_t> level_;  // per NodeId
+  std::vector<uint32_t> end_;    // per NodeId
+  std::vector<uint32_t> level_;  // per NodeId
   Family elements_;
   Family attributes_;
 };

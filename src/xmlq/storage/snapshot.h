@@ -17,14 +17,15 @@ namespace xmlq::storage {
 
 /// "xqpack" — the single-file persistent snapshot format (DESIGN.md §6).
 ///
-/// A snapshot serializes every physical representation of one loaded
-/// document — DOM arena, succinct structure (balanced parentheses +
-/// rank/select directories), content store, region index and value index —
-/// as individually CRC32-checksummed sections behind a
-/// magic/version header. Every payload starts on a 64-byte boundary with
-/// zero padding in between, so an mmap'd file can back the succinct
-/// structures directly (zero-copy open); integers are little-endian host
-/// format (the only platforms the engine targets).
+/// A snapshot stores the primary data of one loaded document — name pool,
+/// node kinds and names, the balanced-parentheses words, the content store
+/// and the value-index runs — as individually CRC32-checksummed sections
+/// behind a magic/version header. Everything one linear pass derives (DOM
+/// links, BP directories, has-content bitmap, region index) is rebuilt at
+/// open. Every payload starts on a 64-byte boundary with zero padding in
+/// between, so an mmap'd file can back the succinct streams directly
+/// (zero-copy open); integers are little-endian host format (the only
+/// platforms the engine targets).
 ///
 /// File layout:
 ///   [SnapshotHeader : 64 B]
@@ -33,7 +34,7 @@ namespace xmlq::storage {
 ///
 /// The header stores the total file size; a file whose actual size differs
 /// (truncation, trailing garbage) is rejected, as is any section whose CRC,
-/// bounds, alignment or cross-section invariants fail — always as an error
+/// bounds, alignment or structural invariants fail — always as an error
 /// `Status` with the failing offset and section name, never an exception or
 /// a crash.
 
@@ -41,7 +42,7 @@ namespace xmlq::storage {
 /// transfer mangling, the same trick as the PNG signature.
 inline constexpr char kSnapshotMagic[8] = {'X', 'Q', 'P', 'A',
                                            'C', 'K', '\r', '\n'};
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 struct SnapshotHeader {
   char magic[8];
@@ -67,34 +68,17 @@ static_assert(sizeof(SnapshotSection) == 32, "on-disk layout");
 
 /// Section ids in canonical on-disk order. The kNodeKinds/kNodeNames arrays
 /// serve both the DOM and the succinct document (pre-order ranks == NodeIds,
-/// so the streams are byte-identical and are stored once).
+/// so the streams are byte-identical and are stored once), and the content
+/// sections hold the only copy of the text.
 enum class SectionId : uint32_t {
   kNameOffsets = 1,  // u32[name_count+1] fence into kNameChars
   kNameChars,        // concatenated interned names, id order
   kNodeKinds,        // u8[n] NodeKind per node / pre-order rank
   kNodeNames,        // u32[n] NameId per node / pre-order rank
-  kParents,          // u32[n]
-  kFirstChildren,    // u32[n]
-  kNextSiblings,     // u32[n]
-  kFirstAttrs,       // u32[n]
-  kTextOffsets,      // u32[n] into kTextBuffer
-  kTextLengths,      // u32[n]
-  kTextBuffer,       // char[]
   kBpWords,          // u64[ceil(2n/64)] balanced-parentheses bits
-  kBpSuperRanks,     // u64[] rank directory over kBpWords
-  kBpWordDir,        // ExcessBlock[] per-word excess directory
-  kBpSuperDir,       // ExcessBlock[] per-superblock excess directory
-  kHasContentWords,  // u64[ceil(n/64)] content-bearing node bitmap
-  kHasContentSuperRanks,  // u64[] rank directory over kHasContentWords
-  kContentOffsets,        // u64[] start offset per content entry
-  kContentBuffer,         // char[] concatenated content strings
-  kRegionEnds,            // u32[n] subtree-end per NodeId
-  kRegionLevels,          // u32[n] depth per NodeId
-  kRegionElementPostings,  // u32[] element NodeIds grouped per name
-  kRegionElementOffsets,   // u32[name_count+1] fence
-  kRegionAttributePostings,
-  kRegionAttributeOffsets,
-  kValueElementEntries,  // ValueIndex::PackedEntry[]
+  kContentOffsets,   // u64[] start offset per content-bearing node
+  kContentBuffer,    // char[] concatenated content strings
+  kValueElementEntries,  // NodeId[] per name, (value, node) order
   kValueElementOffsets,  // u32[name_count+1] fence
   kValueElementNumeric,  // ValueIndex::NumericEntry[]
   kValueElementNumericOffsets,
@@ -103,7 +87,7 @@ enum class SectionId : uint32_t {
   kValueAttributeNumeric,
   kValueAttributeNumericOffsets,
 };
-inline constexpr uint32_t kSnapshotSectionCount = 33;
+inline constexpr uint32_t kSnapshotSectionCount = 15;
 
 /// Human-readable section name for error messages and stats ("node_kinds",
 /// "bp_words", ...); "?" for unknown ids.
@@ -133,32 +117,27 @@ struct SnapshotWriteInfo {
 };
 
 /// Keeps the snapshot bytes (heap copy or mmap) alive for the components
-/// borrowing from them, and remembers the layout for reporting. `path` is
-/// the file the bytes came from ("" for in-memory images) — the integrity
-/// scrubber uses it to re-read and quarantine the on-disk copy.
+/// borrowing from them. `path` is the file the bytes came from ("" for
+/// in-memory images) — the integrity scrubber uses it to re-read and
+/// quarantine the on-disk copy.
 class SnapshotBacking {
  public:
-  SnapshotBacking(FileBytes bytes, std::vector<SnapshotSectionInfo> sections,
-                  std::string path = {})
-      : bytes_(std::move(bytes)), sections_(std::move(sections)),
-        path_(std::move(path)) {}
+  SnapshotBacking(FileBytes bytes, std::string path = {})
+      : bytes_(std::move(bytes)), path_(std::move(path)) {}
 
   uint64_t file_size() const { return bytes_.size(); }
-  const std::vector<SnapshotSectionInfo>& sections() const {
-    return sections_;
-  }
   const FileBytes& bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
  private:
   FileBytes bytes_;
-  std::vector<SnapshotSectionInfo> sections_;
   std::string path_;
 };
 
 /// A fully opened snapshot: every component of a loaded document plus the
-/// backing bytes they (partially) borrow from. The backing must outlive all
-/// components — callers keep the unique_ptrs together (api::Database does).
+/// backing bytes the succinct document borrows from. The backing must outlive
+/// all components — callers keep the unique_ptrs together (api::Database
+/// does).
 struct OpenedSnapshot {
   std::unique_ptr<xml::Document> dom;
   std::unique_ptr<SuccinctDocument> succinct;
@@ -167,18 +146,18 @@ struct OpenedSnapshot {
   std::unique_ptr<SnapshotBacking> backing;
 };
 
-/// Serializes the components of one document to `path` (atomic write: temp
-/// file + rename). Fault site: "store.snapshot.write".
+/// Serializes the primary data of one document to `path` (atomic write:
+/// temp file + rename). Fault site: "store.snapshot.write".
 Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
                                         const xml::Document& doc,
                                         const SuccinctDocument& succinct,
-                                        const RegionIndex& regions,
                                         const ValueIndex& values);
 
-/// Opens a snapshot file. kMap points the succinct structures straight at
-/// the mapping; kCopy reads the file into an aligned heap buffer first.
+/// Opens a snapshot file. kMap points the succinct streams straight at the
+/// mapping; kCopy reads the file into an aligned heap buffer first. The DOM,
+/// the directories and the indexes are derived from the primary sections.
 /// Corruption (bad magic/version/CRC, truncation, trailing garbage, invalid
-/// cross-section invariants) is reported as kParseError carrying the file
+/// structural invariants) is reported as kParseError carrying the file
 /// path, the failing byte offset and the section name. Fault sites:
 /// "store.snapshot.map", "store.snapshot.verify".
 Result<OpenedSnapshot> OpenSnapshot(const std::string& path,

@@ -17,13 +17,6 @@ namespace {
 
 constexpr uint64_t kSectionAlign = 64;
 
-bool IsContentKind(uint8_t kind) {
-  const auto k = static_cast<xml::NodeKind>(kind);
-  return k == xml::NodeKind::kText || k == xml::NodeKind::kAttribute ||
-         k == xml::NodeKind::kComment ||
-         k == xml::NodeKind::kProcessingInstruction;
-}
-
 /// Every corruption report carries the failing byte offset and the section
 /// (or structure) name, so operators can pinpoint the damage with xxd.
 Status Corrupt(uint64_t offset, std::string_view where, std::string detail) {
@@ -178,155 +171,116 @@ Status ParseLayout(std::span<const char> bytes, Layout* layout) {
   return Status::Ok();
 }
 
-/// Recomputes the BP word/superblock excess directories and the rank
-/// directory from the raw bits and compares them with the stored sections —
-/// after this pass, excess search and select over the mapped sections are
-/// memory-safe even against a crafted file that beat the CRCs.
-Status VerifyBalancedParens(const Layout& layout, size_t node_count) {
-  const size_t bits = 2 * node_count;
+/// Validates the BP words as the pre-order parenthesization of one n-node
+/// tree and derives every node's parent in one pass: a node's parent is the
+/// innermost node still open when it opens.
+Status DeriveParents(const Layout& layout, size_t n,
+                     std::vector<xml::NodeId>* parents) {
   const auto words = layout.Typed<uint64_t>(SectionId::kBpWords);
-  const auto ranks = layout.Typed<uint64_t>(SectionId::kBpSuperRanks);
-  const auto word_dir =
-      layout.Typed<BalancedParens::ExcessBlock>(SectionId::kBpWordDir);
-  const auto super_dir =
-      layout.Typed<BalancedParens::ExcessBlock>(SectionId::kBpSuperDir);
+  const size_t bits = 2 * n;
   if (words.size() != BitVector::ExpectedWords(bits)) {
-    return layout.Err(SectionId::kBpWords, "word count mismatch");
-  }
-  if (ranks.size() != BitVector::ExpectedSuperRanks(bits)) {
-    return layout.Err(SectionId::kBpSuperRanks, "rank directory size mismatch");
-  }
-  if (word_dir.size() != BalancedParens::ExpectedWordDir(bits)) {
-    return layout.Err(SectionId::kBpWordDir, "word directory size mismatch");
-  }
-  if (super_dir.size() != BalancedParens::ExpectedSuperDir(bits)) {
-    return layout.Err(SectionId::kBpSuperDir,
-                      "superblock directory size mismatch");
-  }
-
-  uint64_t ones = 0;
-  int64_t excess = 0;  // absolute excess before the current word
-  int32_t super_run = 0;
-  int32_t super_min = std::numeric_limits<int32_t>::max();
-  int32_t super_max = std::numeric_limits<int32_t>::min();
-  for (size_t w = 0; w < words.size(); ++w) {
-    if (w % BitVector::kWordsPerSuper == 0 &&
-        ranks[w / BitVector::kWordsPerSuper] != ones) {
-      return layout.Err(SectionId::kBpSuperRanks,
-                        "rank directory entry " +
-                            std::to_string(w / BitVector::kWordsPerSuper) +
-                            " disagrees with the bits");
-    }
-    const size_t valid = std::min<size_t>(64, bits - w * 64);
-    const uint64_t word = words[w];
-    if (valid < 64 && (word >> valid) != 0) {
-      return layout.Err(SectionId::kBpWords,
-                        "nonzero tail bits past the sequence end");
-    }
-    int32_t run = 0;
-    int32_t mn = std::numeric_limits<int32_t>::max();
-    int32_t mx = std::numeric_limits<int32_t>::min();
-    for (size_t b = 0; b < valid; ++b) {
-      run += ((word >> b) & 1) ? 1 : -1;
-      mn = std::min(mn, run);
-      mx = std::max(mx, run);
-    }
-    const BalancedParens::ExcessBlock& stored = word_dir[w];
-    if (stored.total != run || stored.min != mn || stored.max != mx) {
-      return layout.Err(SectionId::kBpWordDir,
-                        "excess directory entry " + std::to_string(w) +
-                            " disagrees with the bits");
-    }
-    if (excess + mn < 0) {
-      return layout.Err(SectionId::kBpWords,
-                        "unbalanced parentheses (excess drops below zero in "
-                        "word " +
-                            std::to_string(w) + ")");
-    }
-    super_min = std::min(super_min, super_run + mn);
-    super_max = std::max(super_max, super_run + mx);
-    super_run += run;
-    excess += run;
-    ones += static_cast<uint64_t>(std::popcount(word));
-    const bool super_ends = (w + 1) % BalancedParens::kWordsPerSuper == 0 ||
-                            w + 1 == words.size();
-    if (super_ends) {
-      const size_t s = w / BalancedParens::kWordsPerSuper;
-      const BalancedParens::ExcessBlock& sb = super_dir[s];
-      if (sb.total != super_run || sb.min != super_min ||
-          sb.max != super_max) {
-        return layout.Err(SectionId::kBpSuperDir,
-                          "superblock directory entry " + std::to_string(s) +
-                              " disagrees with the bits");
-      }
-      super_run = 0;
-      super_min = std::numeric_limits<int32_t>::max();
-      super_max = std::numeric_limits<int32_t>::min();
-    }
-  }
-  if (ranks[ranks.size() - 1] != ones) {
-    return layout.Err(SectionId::kBpSuperRanks,
-                      "rank directory total disagrees with the bits");
-  }
-  if (excess != 0) {
     return layout.Err(SectionId::kBpWords,
-                      "unbalanced parentheses (final excess " +
-                          std::to_string(excess) + ")");
+                      "word count " + std::to_string(words.size()) +
+                          " does not fit 2 bits for each of " +
+                          std::to_string(n) + " nodes");
   }
-  if (ones != node_count) {
+  if (bits % 64 != 0 && (words.back() >> (bits % 64)) != 0) {
+    return layout.Err(SectionId::kBpWords,
+                      "nonzero tail bits past the sequence end");
+  }
+  uint64_t ones = 0;
+  for (const uint64_t word : words) {
+    ones += static_cast<uint64_t>(std::popcount(word));
+  }
+  if (ones != n) {
     return layout.Err(SectionId::kBpWords,
                       "open-paren count " + std::to_string(ones) +
-                          " does not match node count " +
-                          std::to_string(node_count));
+                          " does not match node count " + std::to_string(n));
+  }
+  // The open nodes form a stack, and a node's parent is its top when the
+  // node opens. The body does not branch on the bit: each step stores the
+  // next node's parent and pushes it, and only the depth and the rank
+  // move with the bit (a close's stores are overwritten by the next open).
+  // With n opens and n closes the depth ends at 0, so a sequence that never
+  // dips to 0 early is one balanced tree.
+  parents->assign(n + 1, xml::kNullNode);
+  std::vector<xml::NodeId> stack(n + 2, xml::kNullNode);
+  int64_t depth = 0;
+  xml::NodeId rank = 0;
+  for (size_t pos = 0; pos < bits; ++pos) {
+    const uint64_t bit = (words[pos / 64] >> (pos % 64)) & 1;
+    (*parents)[rank] = stack[depth];
+    stack[depth + 1] = rank;
+    depth += 2 * static_cast<int64_t>(bit) - 1;
+    rank += static_cast<xml::NodeId>(bit);
+    if (depth <= 0 && pos + 1 < bits) {
+      return layout.Err(SectionId::kBpWords,
+                        "unbalanced parentheses (bit " + std::to_string(pos) +
+                            (depth < 0 ? " closes no open node)"
+                                       : " closes the root early)"));
+    }
+  }
+  parents->pop_back();
+  return Status::Ok();
+}
+
+/// The tree-shape rules of the data model over kinds and parents: one
+/// document node, at the root; content-bearing nodes are leaves; attributes
+/// hang off elements, ahead of the element's other children.
+Status VerifyShape(const Layout& layout, std::span<const uint8_t> kinds,
+                   std::span<const xml::NodeId> parents) {
+  const auto kind = [&](size_t i) {
+    return static_cast<xml::NodeKind>(kinds[i]);
+  };
+  if (kind(0) != xml::NodeKind::kDocument) {
+    return layout.Err(SectionId::kNodeKinds, "node 0 is not a document node");
+  }
+  const auto node = [](size_t i) { return "node " + std::to_string(i); };
+  for (size_t i = 1; i < kinds.size(); ++i) {
+    const xml::NodeId parent = parents[i];
+    if (kind(i) == xml::NodeKind::kDocument) {
+      return layout.Err(SectionId::kNodeKinds,
+                        node(i) + " is a second document node");
+    }
+    if (xml::IsContentKind(kind(parent))) {
+      return layout.Err(SectionId::kNodeKinds,
+                        node(i) + " is a child of " + node(parent) + ", a " +
+                            std::string(xml::NodeKindName(kind(parent))) +
+                            " node, which must be a leaf");
+    }
+    if (kind(i) != xml::NodeKind::kAttribute) continue;
+    if (kind(parent) != xml::NodeKind::kElement) {
+      return layout.Err(SectionId::kNodeKinds,
+                        "attribute " + node(i) + " is not under an element");
+    }
+    if (parent != i - 1 && (kind(i - 1) != xml::NodeKind::kAttribute ||
+                            parents[i - 1] != parent)) {
+      return layout.Err(SectionId::kNodeKinds,
+                        "attribute " + node(i) +
+                            " comes after a child of its element");
+    }
   }
   return Status::Ok();
 }
 
-/// Verifies the content-bearing bitmap against the node kinds and its rank
-/// directory, and the content offsets against the buffer.
+/// The content offsets: one per content-bearing node, monotone, inside the
+/// buffer, which the DOM addresses with 32-bit offsets.
 Status VerifyContent(const Layout& layout, std::span<const uint8_t> kinds) {
-  const size_t n = kinds.size();
-  const auto words = layout.Typed<uint64_t>(SectionId::kHasContentWords);
-  const auto ranks = layout.Typed<uint64_t>(SectionId::kHasContentSuperRanks);
   const auto offsets = layout.Typed<uint64_t>(SectionId::kContentOffsets);
   const std::string_view buffer = layout.Payload(SectionId::kContentBuffer);
-  if (words.size() != BitVector::ExpectedWords(n)) {
-    return layout.Err(SectionId::kHasContentWords, "word count mismatch");
+  if (buffer.size() > std::numeric_limits<uint32_t>::max()) {
+    return layout.Err(SectionId::kContentBuffer,
+                      "content buffer exceeds 32-bit text offsets");
   }
-  if (ranks.size() != BitVector::ExpectedSuperRanks(n)) {
-    return layout.Err(SectionId::kHasContentSuperRanks,
-                      "rank directory size mismatch");
-  }
-  uint64_t ones = 0;
-  for (size_t w = 0; w < words.size(); ++w) {
-    if (w % BitVector::kWordsPerSuper == 0 &&
-        ranks[w / BitVector::kWordsPerSuper] != ones) {
-      return layout.Err(SectionId::kHasContentSuperRanks,
-                        "rank directory entry " +
-                            std::to_string(w / BitVector::kWordsPerSuper) +
-                            " disagrees with the bitmap");
-    }
-    const size_t valid = std::min<size_t>(64, n - w * 64);
-    uint64_t expected = 0;
-    for (size_t b = 0; b < valid; ++b) {
-      if (IsContentKind(kinds[w * 64 + b])) expected |= uint64_t{1} << b;
-    }
-    if (words[w] != expected) {
-      return layout.Err(SectionId::kHasContentWords,
-                        "bitmap word " + std::to_string(w) +
-                            " disagrees with the node kinds");
-    }
-    ones += static_cast<uint64_t>(std::popcount(words[w]));
-  }
-  if (ranks[ranks.size() - 1] != ones) {
-    return layout.Err(SectionId::kHasContentSuperRanks,
-                      "rank directory total disagrees with the bitmap");
-  }
-  if (offsets.size() != ones) {
+  const size_t content_nodes = static_cast<size_t>(
+      std::count_if(kinds.begin(), kinds.end(), [](uint8_t k) {
+        return xml::IsContentKind(static_cast<xml::NodeKind>(k));
+      }));
+  if (offsets.size() != content_nodes) {
     return layout.Err(SectionId::kContentOffsets,
                       "entry count " + std::to_string(offsets.size()) +
                           " does not match content-bearing node count " +
-                          std::to_string(ones));
+                          std::to_string(content_nodes));
   }
   uint64_t prev = 0;
   for (size_t i = 0; i < offsets.size(); ++i) {
@@ -361,46 +315,104 @@ Status VerifyFence(const Layout& layout, SectionId id, size_t name_count,
   return Status::Ok();
 }
 
-/// Validates one node kind's posting lists: each entry is a node of
-/// `want_kind` carrying its list's name, each list is strictly ascending,
-/// and the lists together hold exactly the nodes of that kind — so a
-/// posting list is the document-ordered population of its name, and
-/// RegionOf over it never indexes out of bounds.
-Status VerifyPostings(const Layout& layout, SectionId id, SectionId fence_id,
-                      size_t name_count, std::span<const uint8_t> kinds,
-                      std::span<const xml::NameId> names,
-                      xml::NodeKind want_kind) {
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(id, sizeof(xml::NodeId)));
+/// Validates one value family's runs against the restored DOM and resolves
+/// each entry's value from it: every entry is a node of its run's name and
+/// family (element entries are data elements), each run is strictly ordered
+/// by (value, node), and the runs hold every member of the family — the join
+/// engines seed their streams from them and EqualRun binary-searches them.
+/// Numeric runs hold nodes of their name and family, sorted by value, with no
+/// NaN, which no comparison orders. Fills `parts`.
+Status VerifyValueRuns(const Layout& layout, const xml::Document& dom,
+                       const RegionIndex& regions, size_t name_count,
+                       bool attribute,
+                       ValueIndex::FamilyParts* parts) {
+  const SectionId entries_id = attribute ? SectionId::kValueAttributeEntries
+                                         : SectionId::kValueElementEntries;
+  const SectionId fence_id = attribute ? SectionId::kValueAttributeOffsets
+                                       : SectionId::kValueElementOffsets;
+  const SectionId numeric_id = attribute ? SectionId::kValueAttributeNumeric
+                                         : SectionId::kValueElementNumeric;
+  const SectionId numeric_fence_id =
+      attribute ? SectionId::kValueAttributeNumericOffsets
+                : SectionId::kValueElementNumericOffsets;
+  XMLQ_RETURN_IF_ERROR(layout.ElementSized(entries_id, sizeof(xml::NodeId)));
   XMLQ_RETURN_IF_ERROR(layout.ElementSized(fence_id, sizeof(uint32_t)));
-  const auto postings = layout.Typed<xml::NodeId>(id);
-  const size_t kind_nodes = static_cast<size_t>(
-      std::count(kinds.begin(), kinds.end(), static_cast<uint8_t>(want_kind)));
-  if (postings.size() != kind_nodes) {
-    return layout.Err(id, "postings hold " + std::to_string(postings.size()) +
-                              " entries, but the document has " +
-                              std::to_string(kind_nodes) + " " +
-                              std::string(xml::NodeKindName(want_kind)) +
-                              " nodes");
-  }
   XMLQ_RETURN_IF_ERROR(
-      VerifyFence(layout, fence_id, name_count, postings.size()));
+      layout.ElementSized(numeric_id, sizeof(ValueIndex::NumericEntry)));
+  XMLQ_RETURN_IF_ERROR(
+      layout.ElementSized(numeric_fence_id, sizeof(uint32_t)));
+  const auto entries = layout.Typed<xml::NodeId>(entries_id);
+  const auto numeric = layout.Typed<ValueIndex::NumericEntry>(numeric_id);
+  XMLQ_RETURN_IF_ERROR(
+      VerifyFence(layout, fence_id, name_count, entries.size()));
+  XMLQ_RETURN_IF_ERROR(
+      VerifyFence(layout, numeric_fence_id, name_count, numeric.size()));
   const auto fence = layout.Typed<uint32_t>(fence_id);
-  for (size_t name = 0, i = 0; name < name_count; ++name) {
+  const auto numeric_fence = layout.Typed<uint32_t>(numeric_fence_id);
+  const xml::NodeKind want_kind =
+      attribute ? xml::NodeKind::kAttribute : xml::NodeKind::kElement;
+  const auto member = [&](xml::NodeId node, size_t name) {
+    return node < dom.NodeCount() && dom.Kind(node) == want_kind &&
+           dom.Name(node) == name;
+  };
+
+  std::vector<ValueIndex::Entry> resolved;
+  resolved.reserve(entries.size());
+  for (size_t name = 0, i = 0, k = 0; name < name_count; ++name) {
     for (; i < fence[name + 1]; ++i) {
-      const xml::NodeId node = postings[i];
-      if (node >= kinds.size() ||
-          static_cast<xml::NodeKind>(kinds[node]) != want_kind ||
-          names[node] != name) {
-        return layout.Err(id, "posting " + std::to_string(i) +
-                                  " references a node past the node count "
-                                  "or of another name or kind");
+      const xml::NodeId node = entries[i];
+      if (!member(node, name)) {
+        return layout.Err(entries_id,
+                          "entry " + std::to_string(i) +
+                              " references a node past the node count or of "
+                              "another name or kind");
       }
-      if (i > fence[name] && node <= postings[i - 1]) {
-        return layout.Err(id, "posting " + std::to_string(i) +
-                                  " is out of order");
+      const auto value = ValueIndex::IndexedValue(dom, node, attribute);
+      if (!value.has_value()) {
+        return layout.Err(entries_id, "entry " + std::to_string(i) +
+                                          " is not a data element");
+      }
+      const int order =
+          i > fence[name] ? value->compare(resolved.back().value) : 1;
+      if (order < 0 || (order == 0 && node <= resolved.back().node)) {
+        return layout.Err(entries_id,
+                          "entry " + std::to_string(i) +
+                              " is out of order or repeats a node");
+      }
+      resolved.push_back(ValueIndex::Entry{*value, node});
+    }
+    for (; k < numeric_fence[name + 1]; ++k) {
+      if (!member(numeric[k].node, name) ||
+          !ValueIndex::IndexedValue(dom, numeric[k].node, attribute)) {
+        return layout.Err(numeric_id,
+                          "numeric entry " + std::to_string(k) +
+                              " references a node past the node count or "
+                              "of another name or kind");
+      }
+      if (std::isnan(numeric[k].value) ||
+          (k > numeric_fence[name] &&
+           numeric[k].value < numeric[k - 1].value)) {
+        return layout.Err(numeric_id, "numeric entry " + std::to_string(k) +
+                                          " is NaN or out of order");
       }
     }
   }
+  // Entries are distinct members (strict order within a run, one name per
+  // run), so matching the family's size means no member is missing. The
+  // region postings list every named element and attribute.
+  size_t members = 0;
+  for (const xml::NodeId node : regions.PostingSpan(attribute)) {
+    members += ValueIndex::IndexedValue(dom, node, attribute).has_value();
+  }
+  if (entries.size() != members) {
+    return layout.Err(entries_id,
+                      "runs hold " + std::to_string(entries.size()) +
+                          " entries, but the document has " +
+                          std::to_string(members) +
+                          (attribute ? " attributes" : " data elements"));
+  }
+  *parts = ValueIndex::FamilyParts{std::move(resolved), fence, numeric,
+                                   numeric_fence};
   return Status::Ok();
 }
 
@@ -438,7 +450,7 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                       "fence does not cover the name characters");
   }
 
-  // -- Node arrays --------------------------------------------------------
+  // -- Node streams and tree shape -----------------------------------------
   const auto kinds = layout.Typed<uint8_t>(SectionId::kNodeKinds);
   const size_t n = kinds.size();
   if (n == 0) {
@@ -447,31 +459,14 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
   if (n > std::numeric_limits<uint32_t>::max() / 2) {
     return layout.Err(SectionId::kNodeKinds, "node count overflows NodeId");
   }
-  for (const SectionId id :
-       {SectionId::kNodeNames, SectionId::kParents, SectionId::kFirstChildren,
-        SectionId::kNextSiblings, SectionId::kFirstAttrs,
-        SectionId::kTextOffsets, SectionId::kTextLengths}) {
-    XMLQ_RETURN_IF_ERROR(layout.ElementSized(id, sizeof(uint32_t)));
-    if (layout.Entry(id).size != n * sizeof(uint32_t)) {
-      return layout.Err(id, "array length does not match the node count " +
-                                std::to_string(n));
-    }
+  XMLQ_RETURN_IF_ERROR(
+      layout.ElementSized(SectionId::kNodeNames, sizeof(xml::NameId)));
+  if (layout.Entry(SectionId::kNodeNames).size != n * sizeof(xml::NameId)) {
+    return layout.Err(SectionId::kNodeNames,
+                      "array length does not match the node count " +
+                          std::to_string(n));
   }
   const auto names = layout.Typed<xml::NameId>(SectionId::kNodeNames);
-  const auto parents = layout.Typed<xml::NodeId>(SectionId::kParents);
-  const auto first_children =
-      layout.Typed<xml::NodeId>(SectionId::kFirstChildren);
-  const auto next_siblings =
-      layout.Typed<xml::NodeId>(SectionId::kNextSiblings);
-  const auto first_attrs = layout.Typed<xml::NodeId>(SectionId::kFirstAttrs);
-  const auto text_offsets = layout.Typed<uint32_t>(SectionId::kTextOffsets);
-  const auto text_lengths = layout.Typed<uint32_t>(SectionId::kTextLengths);
-  const std::string_view text_buffer = layout.Payload(SectionId::kTextBuffer);
-
-  if (static_cast<xml::NodeKind>(kinds[0]) != xml::NodeKind::kDocument ||
-      parents[0] != xml::kNullNode) {
-    return layout.Err(SectionId::kNodeKinds, "node 0 is not a document node");
-  }
   for (size_t i = 0; i < n; ++i) {
     if (kinds[i] >
         static_cast<uint8_t>(xml::NodeKind::kProcessingInstruction)) {
@@ -484,168 +479,17 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                         "node " + std::to_string(i) +
                             " references name id past the pool");
     }
-    if (i > 0 && parents[i] >= i) {
-      return layout.Err(SectionId::kParents,
-                        "node " + std::to_string(i) +
-                            " has parent at or after itself");
-    }
-    if ((first_children[i] != xml::kNullNode && first_children[i] >= n) ||
-        (next_siblings[i] != xml::kNullNode && next_siblings[i] >= n) ||
-        (first_attrs[i] != xml::kNullNode && first_attrs[i] >= n)) {
-      return layout.Err(SectionId::kFirstChildren,
-                        "node " + std::to_string(i) +
-                            " has a child/sibling/attribute link past the "
-                            "node count");
-    }
-    if (static_cast<uint64_t>(text_offsets[i]) + text_lengths[i] >
-        text_buffer.size()) {
-      return layout.Err(SectionId::kTextOffsets,
-                        "node " + std::to_string(i) +
-                            " text slice exceeds the text buffer");
-    }
   }
-
-  // -- Succinct structure -------------------------------------------------
   XMLQ_RETURN_IF_ERROR(
       layout.ElementSized(SectionId::kBpWords, sizeof(uint64_t)));
-  XMLQ_RETURN_IF_ERROR(
-      layout.ElementSized(SectionId::kBpSuperRanks, sizeof(uint64_t)));
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(
-      SectionId::kBpWordDir, sizeof(BalancedParens::ExcessBlock)));
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(
-      SectionId::kBpSuperDir, sizeof(BalancedParens::ExcessBlock)));
-  XMLQ_RETURN_IF_ERROR(VerifyBalancedParens(layout, n));
-  XMLQ_RETURN_IF_ERROR(
-      layout.ElementSized(SectionId::kHasContentWords, sizeof(uint64_t)));
-  XMLQ_RETURN_IF_ERROR(layout.ElementSized(SectionId::kHasContentSuperRanks,
-                                           sizeof(uint64_t)));
+  std::vector<xml::NodeId> parents;
+  XMLQ_RETURN_IF_ERROR(DeriveParents(layout, n, &parents));
+  XMLQ_RETURN_IF_ERROR(VerifyShape(layout, kinds, parents));
   XMLQ_RETURN_IF_ERROR(
       layout.ElementSized(SectionId::kContentOffsets, sizeof(uint64_t)));
   XMLQ_RETURN_IF_ERROR(VerifyContent(layout, kinds));
 
-  // -- Region index -------------------------------------------------------
-  for (const SectionId id : {SectionId::kRegionEnds, SectionId::kRegionLevels}) {
-    XMLQ_RETURN_IF_ERROR(layout.ElementSized(id, sizeof(uint32_t)));
-    if (layout.Entry(id).size != n * sizeof(uint32_t)) {
-      return layout.Err(id, "array length does not match the node count");
-    }
-  }
-  const auto ends = layout.Typed<uint32_t>(SectionId::kRegionEnds);
-  const auto levels = layout.Typed<uint32_t>(SectionId::kRegionLevels);
-  // Every region the join engines read is RegionOf(id), so each stored end
-  // must be the node's real subtree end, recomputed from the parent links.
-  std::vector<uint32_t> subtree_end(n);
-  for (size_t i = 0; i < n; ++i) subtree_end[i] = static_cast<uint32_t>(i);
-  for (size_t i = n; i-- > 1;) {
-    subtree_end[parents[i]] =
-        std::max(subtree_end[parents[i]], subtree_end[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (ends[i] != subtree_end[i]) {
-      return layout.Err(SectionId::kRegionEnds,
-                        "subtree end of node " + std::to_string(i) +
-                            " disagrees with the parent links");
-    }
-    const uint32_t expected_level =
-        i == 0 ? 0 : levels[parents[i]] + 1;  // parents[i] < i, validated
-    if (levels[i] != expected_level) {
-      return layout.Err(SectionId::kRegionLevels,
-                        "level of node " + std::to_string(i) +
-                            " disagrees with its parent");
-    }
-  }
-  XMLQ_RETURN_IF_ERROR(VerifyPostings(
-      layout, SectionId::kRegionElementPostings,
-      SectionId::kRegionElementOffsets, name_count, kinds, names,
-      xml::NodeKind::kElement));
-  XMLQ_RETURN_IF_ERROR(VerifyPostings(
-      layout, SectionId::kRegionAttributePostings,
-      SectionId::kRegionAttributeOffsets, name_count, kinds, names,
-      xml::NodeKind::kAttribute));
-
-  // -- Value index --------------------------------------------------------
-  const SectionId value_entry_ids[2] = {SectionId::kValueElementEntries,
-                                        SectionId::kValueAttributeEntries};
-  const SectionId value_offset_ids[2] = {SectionId::kValueElementOffsets,
-                                         SectionId::kValueAttributeOffsets};
-  const SectionId value_numeric_ids[2] = {SectionId::kValueElementNumeric,
-                                          SectionId::kValueAttributeNumeric};
-  const SectionId value_numeric_offset_ids[2] = {
-      SectionId::kValueElementNumericOffsets,
-      SectionId::kValueAttributeNumericOffsets};
-  ValueIndex::FamilyParts families[2];
-  for (int f = 0; f < 2; ++f) {
-    XMLQ_RETURN_IF_ERROR(layout.ElementSized(
-        value_entry_ids[f], sizeof(ValueIndex::PackedEntry)));
-    XMLQ_RETURN_IF_ERROR(
-        layout.ElementSized(value_offset_ids[f], sizeof(uint32_t)));
-    XMLQ_RETURN_IF_ERROR(layout.ElementSized(
-        value_numeric_ids[f], sizeof(ValueIndex::NumericEntry)));
-    XMLQ_RETURN_IF_ERROR(
-        layout.ElementSized(value_numeric_offset_ids[f], sizeof(uint32_t)));
-    const auto entries =
-        layout.Typed<ValueIndex::PackedEntry>(value_entry_ids[f]);
-    const auto numeric =
-        layout.Typed<ValueIndex::NumericEntry>(value_numeric_ids[f]);
-    XMLQ_RETURN_IF_ERROR(VerifyFence(layout, value_offset_ids[f], name_count,
-                                     entries.size()));
-    XMLQ_RETURN_IF_ERROR(VerifyFence(layout, value_numeric_offset_ids[f],
-                                     name_count, numeric.size()));
-    // Each per-name run must hold only nodes of that name and family (the
-    // join engines seed their streams from it), and must be sorted by value
-    // (EqualRun and NumericRun binary-search them); NaN, which no
-    // comparison orders, never enters a numeric run.
-    const xml::NodeKind want_kind =
-        f == 0 ? xml::NodeKind::kElement : xml::NodeKind::kAttribute;
-    const auto text_fence = layout.Typed<uint32_t>(value_offset_ids[f]);
-    const auto numeric_fence =
-        layout.Typed<uint32_t>(value_numeric_offset_ids[f]);
-    const auto value_of = [&](const ValueIndex::PackedEntry& e) {
-      return std::string_view(text_buffer.data() + e.text_offset, e.length);
-    };
-    for (size_t name = 0, i = 0, k = 0; name < name_count; ++name) {
-      for (; i < text_fence[name + 1]; ++i) {
-        const ValueIndex::PackedEntry& e = entries[i];
-        if (static_cast<uint64_t>(e.text_offset) + e.length >
-                text_buffer.size() ||
-            e.node >= n || static_cast<xml::NodeKind>(kinds[e.node]) !=
-                               want_kind ||
-            names[e.node] != name) {
-          return layout.Err(value_entry_ids[f],
-                            "entry " + std::to_string(i) +
-                                " points outside the text buffer or at a "
-                                "node of another name or kind");
-        }
-        if (i > text_fence[name] && value_of(e) < value_of(entries[i - 1])) {
-          return layout.Err(value_entry_ids[f],
-                            "entry " + std::to_string(i) + " is out of order");
-        }
-      }
-      for (; k < numeric_fence[name + 1]; ++k) {
-        const xml::NodeId node = numeric[k].node;
-        if (node >= n ||
-            static_cast<xml::NodeKind>(kinds[node]) != want_kind ||
-            names[node] != name) {
-          return layout.Err(value_numeric_ids[f],
-                            "numeric entry " + std::to_string(k) +
-                                " references a node past the node count or "
-                                "of another name or kind");
-        }
-        if (std::isnan(numeric[k].value) ||
-            (k > numeric_fence[name] &&
-             numeric[k].value < numeric[k - 1].value)) {
-          return layout.Err(value_numeric_ids[f],
-                            "numeric entry " + std::to_string(k) +
-                                " is NaN or out of order");
-        }
-      }
-    }
-    families[f] = ValueIndex::FamilyParts{
-        entries, layout.Typed<uint32_t>(value_offset_ids[f]), numeric,
-        layout.Typed<uint32_t>(value_numeric_offset_ids[f])};
-  }
-
-  // -- Construction -------------------------------------------------------
+  // -- Derived components -------------------------------------------------
   auto pool = std::make_shared<xml::NamePool>();
   for (size_t i = 0; i < name_count; ++i) {
     const std::string_view name = name_chars.substr(
@@ -655,61 +499,37 @@ Result<OpenedSnapshot> OpenSnapshotFromBytesImpl(FileBytes bytes,
                         "duplicate interned name at id " + std::to_string(i));
     }
   }
-
-  auto dom = std::make_unique<xml::Document>(xml::Document::FromParts(
-      pool, kinds, names, parents, first_children, next_siblings, first_attrs,
-      text_offsets, text_lengths, text_buffer));
-  if (!dom->IsPreorder()) {
-    return layout.Err(SectionId::kFirstChildren,
-                      "node links do not form a consistent pre-order tree");
-  }
-
-  BitVector bp_bits =
-      BitVector::FromExternal(layout.Typed<uint64_t>(SectionId::kBpWords),
-                              2 * n,
-                              layout.Typed<uint64_t>(SectionId::kBpSuperRanks),
-                              n);
-  BalancedParens bp = BalancedParens::FromExternal(
-      std::move(bp_bits),
-      layout.Typed<BalancedParens::ExcessBlock>(SectionId::kBpWordDir),
-      layout.Typed<BalancedParens::ExcessBlock>(SectionId::kBpSuperDir));
   const auto content_offsets =
       layout.Typed<uint64_t>(SectionId::kContentOffsets);
-  BitVector has_content = BitVector::FromExternal(
-      layout.Typed<uint64_t>(SectionId::kHasContentWords), n,
-      layout.Typed<uint64_t>(SectionId::kHasContentSuperRanks),
-      content_offsets.size());
-  ContentStore content = ContentStore::FromExternal(
-      layout.Payload(SectionId::kContentBuffer), content_offsets);
+  const std::string_view content_buffer =
+      layout.Payload(SectionId::kContentBuffer);
+  auto dom = std::make_unique<xml::Document>(xml::Document::FromParts(
+      pool, kinds, names, parents, content_offsets, content_buffer));
   auto succinct = std::make_unique<SuccinctDocument>(
-      SuccinctDocument::FromParts(std::move(bp), kinds, names,
-                                  std::move(has_content), std::move(content),
-                                  pool));
+      SuccinctDocument::FromParts(
+          BalancedParens::FromExternal(
+              layout.Typed<uint64_t>(SectionId::kBpWords), 2 * n),
+          kinds, names,
+          ContentStore::FromExternal(content_buffer, content_offsets),
+          pool));
+  auto regions = std::make_unique<RegionIndex>(*dom);
 
-  auto regions = std::make_unique<RegionIndex>(RegionIndex::FromExternal(
-      ends, levels,
-      layout.Typed<xml::NodeId>(SectionId::kRegionElementPostings),
-      layout.Typed<uint32_t>(SectionId::kRegionElementOffsets),
-      layout.Typed<xml::NodeId>(SectionId::kRegionAttributePostings),
-      layout.Typed<uint32_t>(SectionId::kRegionAttributeOffsets)));
-
-  auto values = std::make_unique<ValueIndex>(ValueIndex::FromParts(
-      dom->TextBufferView(), families[0], families[1]));
-
-  std::vector<SnapshotSectionInfo> infos;
-  infos.reserve(kSnapshotSectionCount);
-  for (const SnapshotSection& s : layout.table) {
-    infos.push_back(SnapshotSectionInfo{s.id, SnapshotSectionName(s.id),
-                                        s.offset, s.size});
+  // -- Value index --------------------------------------------------------
+  ValueIndex::FamilyParts families[2];
+  for (const bool attribute : {false, true}) {
+    XMLQ_RETURN_IF_ERROR(VerifyValueRuns(layout, *dom, *regions, name_count,
+                                         attribute,
+                                         &families[attribute ? 1 : 0]));
   }
+  auto values = std::make_unique<ValueIndex>(ValueIndex::FromParts(
+      std::move(families[0]), std::move(families[1])));
 
   OpenedSnapshot out;
   out.dom = std::move(dom);
   out.succinct = std::move(succinct);
   out.regions = std::move(regions);
   out.values = std::move(values);
-  out.backing = std::make_unique<SnapshotBacking>(std::move(bytes),
-                                                  std::move(infos), path);
+  out.backing = std::make_unique<SnapshotBacking>(std::move(bytes), path);
   return out;
 }
 

@@ -31,29 +31,9 @@ const char* SnapshotSectionName(uint32_t id) {
     case SectionId::kNameChars: return "name_chars";
     case SectionId::kNodeKinds: return "node_kinds";
     case SectionId::kNodeNames: return "node_names";
-    case SectionId::kParents: return "parents";
-    case SectionId::kFirstChildren: return "first_children";
-    case SectionId::kNextSiblings: return "next_siblings";
-    case SectionId::kFirstAttrs: return "first_attrs";
-    case SectionId::kTextOffsets: return "text_offsets";
-    case SectionId::kTextLengths: return "text_lengths";
-    case SectionId::kTextBuffer: return "text_buffer";
     case SectionId::kBpWords: return "bp_words";
-    case SectionId::kBpSuperRanks: return "bp_super_ranks";
-    case SectionId::kBpWordDir: return "bp_word_dir";
-    case SectionId::kBpSuperDir: return "bp_super_dir";
-    case SectionId::kHasContentWords: return "has_content_words";
-    case SectionId::kHasContentSuperRanks: return "has_content_super_ranks";
     case SectionId::kContentOffsets: return "content_offsets";
     case SectionId::kContentBuffer: return "content_buffer";
-    case SectionId::kRegionEnds: return "region_ends";
-    case SectionId::kRegionLevels: return "region_levels";
-    case SectionId::kRegionElementPostings: return "region_element_postings";
-    case SectionId::kRegionElementOffsets: return "region_element_offsets";
-    case SectionId::kRegionAttributePostings:
-      return "region_attribute_postings";
-    case SectionId::kRegionAttributeOffsets:
-      return "region_attribute_offsets";
     case SectionId::kValueElementEntries: return "value_element_entries";
     case SectionId::kValueElementOffsets: return "value_element_offsets";
     case SectionId::kValueElementNumeric: return "value_element_numeric";
@@ -71,7 +51,6 @@ const char* SnapshotSectionName(uint32_t id) {
 Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
                                         const xml::Document& doc,
                                         const SuccinctDocument& succinct,
-                                        const RegionIndex& regions,
                                         const ValueIndex& values) {
   if (XMLQ_FAULT("store.snapshot.write")) {
     return Status::Internal("injected I/O failure writing snapshot \"" +
@@ -89,14 +68,10 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
   }
   name_offsets.push_back(static_cast<uint32_t>(name_chars.size()));
 
-  const char* text_base = doc.TextBufferView().data();
-  const std::vector<ValueIndex::PackedEntry> elem_entries =
-      values.PackEntries(/*attribute=*/false, text_base);
-  const std::vector<ValueIndex::PackedEntry> attr_entries =
-      values.PackEntries(/*attribute=*/true, text_base);
-
-  const BalancedParens& bp = succinct.bp();
-  const BitVector& has_content = succinct.has_content();
+  const std::vector<xml::NodeId> elem_entries =
+      values.EntryNodes(/*attribute=*/false);
+  const std::vector<xml::NodeId> attr_entries =
+      values.EntryNodes(/*attribute=*/true);
   const ContentStore& content = succinct.content();
 
   // Payloads in canonical SectionId order (index == id - 1).
@@ -105,32 +80,14 @@ Result<SnapshotWriteInfo> WriteSnapshot(const std::string& path,
       std::string_view(name_chars),
       AsBytes(std::span<const xml::NodeKind>(doc.KindSpan())),
       AsBytes(doc.NameSpan()),
-      AsBytes(doc.ParentSpan()),
-      AsBytes(doc.FirstChildSpan()),
-      AsBytes(doc.NextSiblingSpan()),
-      AsBytes(doc.FirstAttrSpan()),
-      AsBytes(doc.TextOffsetSpan()),
-      AsBytes(doc.TextLengthSpan()),
-      doc.TextBufferView(),
-      AsBytes(bp.bits().WordSpan()),
-      AsBytes(bp.bits().SuperRankSpan()),
-      AsBytes(bp.WordDirSpan()),
-      AsBytes(bp.SuperDirSpan()),
-      AsBytes(has_content.WordSpan()),
-      AsBytes(has_content.SuperRankSpan()),
+      AsBytes(succinct.bp().bits().WordSpan()),
       AsBytes(content.OffsetSpan()),
       content.BufferView(),
-      AsBytes(regions.EndSpan()),
-      AsBytes(regions.LevelSpan()),
-      AsBytes(regions.PostingSpan(/*attribute=*/false)),
-      AsBytes(regions.PostingOffsetSpan(/*attribute=*/false)),
-      AsBytes(regions.PostingSpan(/*attribute=*/true)),
-      AsBytes(regions.PostingOffsetSpan(/*attribute=*/true)),
-      AsBytes(std::span<const ValueIndex::PackedEntry>(elem_entries)),
+      AsBytes(std::span<const xml::NodeId>(elem_entries)),
       AsBytes(values.OffsetSpan(/*attribute=*/false)),
       AsBytes(values.NumericSpan(/*attribute=*/false)),
       AsBytes(values.NumericOffsetSpan(/*attribute=*/false)),
-      AsBytes(std::span<const ValueIndex::PackedEntry>(attr_entries)),
+      AsBytes(std::span<const xml::NodeId>(attr_entries)),
       AsBytes(values.OffsetSpan(/*attribute=*/true)),
       AsBytes(values.NumericSpan(/*attribute=*/true)),
       AsBytes(values.NumericOffsetSpan(/*attribute=*/true)),

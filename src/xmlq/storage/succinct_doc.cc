@@ -15,17 +15,26 @@ Result<SuccinctDocument> SuccinctDocument::TryBuild(const xml::Document& doc) {
   return Build(doc);
 }
 
+BitVector SuccinctDocument::ContentBits(std::span<const uint8_t> kinds) {
+  BitVector bits;
+  for (const uint8_t kind : kinds) {
+    bits.PushBack(xml::IsContentKind(static_cast<xml::NodeKind>(kind)));
+  }
+  bits.Freeze();
+  return bits;
+}
+
 SuccinctDocument SuccinctDocument::FromParts(
     BalancedParens bp, std::span<const uint8_t> kinds,
-    std::span<const xml::NameId> labels, BitVector has_content,
-    ContentStore content, std::shared_ptr<xml::NamePool> pool) {
+    std::span<const xml::NameId> labels, ContentStore content,
+    std::shared_ptr<xml::NamePool> pool) {
   assert(kinds.size() == labels.size());
   assert(bp.NodeCount() == kinds.size());
   SuccinctDocument out;
   out.bp_ = std::move(bp);
   out.kinds_ = ArrayRef<uint8_t>::View(kinds);
   out.labels_ = ArrayRef<xml::NameId>::View(labels);
-  out.has_content_ = std::move(has_content);
+  out.has_content_ = ContentBits(kinds);
   out.content_ = std::move(content);
   out.pool_ = std::move(pool);
   return out;
@@ -57,12 +66,7 @@ SuccinctDocument SuccinctDocument::Build(const xml::Document& doc) {
     const xml::NodeKind kind = doc.Kind(node);
     out.kinds_.PushBack(static_cast<uint8_t>(kind));
     out.labels_.PushBack(doc.Name(node));
-    const bool has_content = kind == xml::NodeKind::kText ||
-                             kind == xml::NodeKind::kAttribute ||
-                             kind == xml::NodeKind::kComment ||
-                             kind == xml::NodeKind::kProcessingInstruction;
-    out.has_content_.PushBack(has_content);
-    if (has_content) out.content_.Add(doc.Text(node));
+    if (xml::IsContentKind(kind)) out.content_.Add(doc.Text(node));
 
     work.emplace_back(node, true);
     // Children pushed in reverse so they pop in document order; attributes
@@ -85,7 +89,7 @@ SuccinctDocument SuccinctDocument::Build(const xml::Document& doc) {
     }
   }
   out.bp_.Freeze();
-  out.has_content_.Freeze();
+  out.has_content_ = ContentBits(out.kinds_.span());
   assert(out.kinds_.size() == n);
   return out;
 }

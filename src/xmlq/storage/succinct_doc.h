@@ -37,11 +37,11 @@ class SuccinctDocument {
   /// Assembles a document from restored/mapped parts — the snapshot open
   /// path. `kinds`/`labels` may point into a mapped section (they are
   /// byte-identical to the DOM kind/name arrays, so snapshots store them
-  /// once); ownership of the backing memory stays with the caller.
+  /// once); ownership of the backing memory stays with the caller. The
+  /// has-content bitmap is derived from `kinds`, as Build derives it.
   static SuccinctDocument FromParts(BalancedParens bp,
                                     std::span<const uint8_t> kinds,
                                     std::span<const xml::NameId> labels,
-                                    BitVector has_content,
                                     ContentStore content,
                                     std::shared_ptr<xml::NamePool> pool);
 
@@ -120,18 +120,18 @@ class SuccinctDocument {
   /// Bytes of content (text store + content-rank directory).
   size_t ContentBytes() const;
   size_t MemoryUsage() const { return StructureBytes() + ContentBytes(); }
-  /// Heap bytes actually owned (0 for fully mapped snapshot opens, except
-  /// directories rebuilt locally — see snapshot_reader).
+  /// Heap bytes actually owned (for snapshot opens: the directories and
+  /// the has-content bitmap, which the open path builds; see snapshot_reader).
   size_t HeapBytes() const;
 
-  // -- Snapshot serialization hooks ----------------------------------------
-
-  std::span<const uint8_t> KindSpan() const { return kinds_.span(); }
-  std::span<const xml::NameId> LabelSpan() const { return labels_.span(); }
+  /// The content-bearing-node bitmap (snapshot tests compare it).
   const BitVector& has_content() const { return has_content_; }
 
  private:
   SuccinctDocument() = default;
+
+  /// One bit per node, set for the content-bearing kinds; frozen.
+  static BitVector ContentBits(std::span<const uint8_t> kinds);
 
   BalancedParens bp_;
   ArrayRef<uint8_t> kinds_;       // NodeKind per pre-order rank

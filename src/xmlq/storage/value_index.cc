@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "xmlq/base/fault_injector.h"
 #include "xmlq/base/strings.h"
@@ -25,40 +26,29 @@ Result<ValueIndex> ValueIndex::TryBuild(const xml::Document& doc) {
   return ValueIndex(doc);
 }
 
-ValueIndex::Family ValueIndex::UnpackFamily(std::string_view text,
-                                            const FamilyParts& parts) {
+ValueIndex::Family ValueIndex::UnpackFamily(FamilyParts parts) {
   Family out;
+  out.entries = std::move(parts.entries);
   out.offsets.assign(parts.offsets.begin(), parts.offsets.end());
+  out.numeric.assign(parts.numeric.begin(), parts.numeric.end());
   out.numeric_offsets.assign(parts.numeric_offsets.begin(),
                              parts.numeric_offsets.end());
-  out.entries.reserve(parts.entries.size());
-  for (const PackedEntry& pe : parts.entries) {
-    out.entries.push_back(Entry{
-        std::string_view(text.data() + pe.text_offset, pe.length), pe.node});
-  }
-  out.numeric.assign(parts.numeric.begin(), parts.numeric.end());
   return out;
 }
 
-ValueIndex ValueIndex::FromParts(std::string_view text,
-                                 const FamilyParts& elements,
-                                 const FamilyParts& attributes) {
+ValueIndex ValueIndex::FromParts(FamilyParts elements,
+                                 FamilyParts attributes) {
   ValueIndex out;
-  out.elements_ = UnpackFamily(text, elements);
-  out.attributes_ = UnpackFamily(text, attributes);
+  out.elements_ = UnpackFamily(std::move(elements));
+  out.attributes_ = UnpackFamily(std::move(attributes));
   return out;
 }
 
-std::vector<ValueIndex::PackedEntry> ValueIndex::PackEntries(
-    bool attribute, const char* text_base) const {
+std::vector<xml::NodeId> ValueIndex::EntryNodes(bool attribute) const {
   const Family& family = FamilyFor(attribute);
-  std::vector<PackedEntry> out;
+  std::vector<xml::NodeId> out;
   out.reserve(family.entries.size());
-  for (const Entry& e : family.entries) {
-    out.push_back(PackedEntry{
-        static_cast<uint32_t>(e.value.data() - text_base),
-        static_cast<uint32_t>(e.value.size()), e.node});
-  }
+  for (const Entry& e : family.entries) out.push_back(e.node);
   return out;
 }
 
@@ -110,16 +100,10 @@ ValueIndex::ValueIndex(const xml::Document& doc) {
   std::vector<std::pair<xml::NameId, Entry>> attribute_raw;
   const size_t n = doc.NodeCount();
   for (xml::NodeId i = 0; i < n; ++i) {
-    if (doc.Kind(i) == xml::NodeKind::kElement) {
-      // Data element: exactly one child, and it is a text node.
-      const xml::NodeId child = doc.FirstChild(i);
-      if (child != xml::kNullNode &&
-          doc.Kind(child) == xml::NodeKind::kText &&
-          doc.NextSibling(child) == xml::kNullNode) {
-        element_raw.push_back({doc.Name(i), Entry{doc.Text(child), i}});
-      }
-    } else if (doc.Kind(i) == xml::NodeKind::kAttribute) {
-      attribute_raw.push_back({doc.Name(i), Entry{doc.Text(i), i}});
+    const bool attribute = doc.Kind(i) == xml::NodeKind::kAttribute;
+    if (const auto value = IndexedValue(doc, i, attribute)) {
+      (attribute ? attribute_raw : element_raw)
+          .push_back({doc.Name(i), Entry{*value, i}});
     }
   }
   BuildFamily(&element_raw, doc.pool().size(), &elements_);

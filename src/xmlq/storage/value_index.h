@@ -2,6 +2,7 @@
 #define XMLQ_STORAGE_VALUE_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -25,9 +26,10 @@ namespace xmlq::storage {
 /// range scans (a NaN bound selects nothing).
 ///
 /// The index is always materialized in heap memory (entries are string_views
-/// into the document's text buffer, which snapshots restore first); snapshot
-/// files store entries in packed {text_offset, length, node} form so the load
-/// path is a flat unpack with no re-sorting.
+/// into the document's text buffer). Snapshot files store each run as the
+/// NodeIds of its entries in (value, node) order: the values are the nodes'
+/// own text, so the load path reads them from the restored DOM and never
+/// re-sorts.
 class ValueIndex {
  public:
   struct Entry {
@@ -42,19 +44,11 @@ class ValueIndex {
     uint32_t pad = 0;
   };
   static_assert(sizeof(NumericEntry) == 16, "serialized layout");
-  /// On-disk form of Entry: the value as a (offset, length) slice of the
-  /// document's text buffer.
-  struct PackedEntry {
-    uint32_t text_offset = 0;
-    uint32_t length = 0;
-    uint32_t node = 0;
-  };
-  static_assert(sizeof(PackedEntry) == 12, "serialized layout");
-
-  /// Borrowed views of one family's four arrays (snapshot sections on load,
-  /// live vectors on save).
+  /// One family as the snapshot open path restores it: the entries with
+  /// their values resolved against the restored DOM, and borrowed views of
+  /// the fence and numeric sections.
   struct FamilyParts {
-    std::span<const PackedEntry> entries;
+    std::vector<Entry> entries;         // per name, (value, node) order
     std::span<const uint32_t> offsets;  // per NameId, size+1 fence
     std::span<const NumericEntry> numeric;
     std::span<const uint32_t> numeric_offsets;
@@ -70,12 +64,27 @@ class ValueIndex {
   /// force the build-failure path; identical to the constructor otherwise.
   static Result<ValueIndex> TryBuild(const xml::Document& doc);
 
-  /// Materializes from packed snapshot sections. `text` is the restored
-  /// document's text buffer; every packed slice must lie inside it (callers
-  /// validate — see snapshot_reader) and `text` must outlive the index.
-  static ValueIndex FromParts(std::string_view text,
-                              const FamilyParts& elements,
-                              const FamilyParts& attributes);
+  /// The indexed value of `node` when it belongs to the attribute family
+  /// (with `attribute`: its value) or the element family (a data element,
+  /// whose only child is a text node: that text); nullopt otherwise.
+  static std::optional<std::string_view> IndexedValue(
+      const xml::Document& doc, xml::NodeId node, bool attribute) {
+    if (attribute) {
+      if (doc.Kind(node) != xml::NodeKind::kAttribute) return std::nullopt;
+      return doc.Text(node);
+    }
+    if (doc.Kind(node) != xml::NodeKind::kElement) return std::nullopt;
+    const xml::NodeId child = doc.FirstChild(node);
+    if (child == xml::kNullNode || doc.Kind(child) != xml::NodeKind::kText ||
+        doc.NextSibling(child) != xml::kNullNode) {
+      return std::nullopt;
+    }
+    return doc.Text(child);
+  }
+
+  /// Materializes from validated snapshot parts (see snapshot_reader); the
+  /// DOM the entry values point into must outlive the index.
+  static ValueIndex FromParts(FamilyParts elements, FamilyParts attributes);
 
   /// Nodes whose indexed value equals `value`, in document order.
   std::vector<xml::NodeId> Lookup(xml::NameId name, std::string_view value,
@@ -119,10 +128,8 @@ class ValueIndex {
 
   // -- Snapshot serialization hooks ----------------------------------------
 
-  /// Entries of one family packed for serialization; `text_base` is the
-  /// start of the document text buffer the entry values point into.
-  std::vector<PackedEntry> PackEntries(bool attribute,
-                                       const char* text_base) const;
+  /// The NodeIds of one family's entries, in run order.
+  std::vector<xml::NodeId> EntryNodes(bool attribute) const;
   std::span<const uint32_t> OffsetSpan(bool attribute) const {
     return FamilyFor(attribute).offsets;
   }
@@ -152,7 +159,7 @@ class ValueIndex {
 
   static void BuildFamily(std::vector<std::pair<xml::NameId, Entry>>* raw,
                           size_t name_count, Family* family);
-  static Family UnpackFamily(std::string_view text, const FamilyParts& parts);
+  static Family UnpackFamily(FamilyParts parts);
 
   const Family& FamilyFor(bool attribute) const {
     return attribute ? attributes_ : elements_;

@@ -33,45 +33,45 @@ Document Document::FromParts(std::shared_ptr<NamePool> pool,
                              std::span<const uint8_t> kinds,
                              std::span<const NameId> names,
                              std::span<const NodeId> parents,
-                             std::span<const NodeId> first_children,
-                             std::span<const NodeId> next_siblings,
-                             std::span<const NodeId> first_attrs,
-                             std::span<const uint32_t> text_offsets,
-                             std::span<const uint32_t> text_lengths,
+                             std::span<const uint64_t> text_offsets,
                              std::string_view text_buffer) {
   const size_t n = kinds.size();
-  assert(names.size() == n && parents.size() == n &&
-         first_children.size() == n && next_siblings.size() == n &&
-         first_attrs.size() == n && text_offsets.size() == n &&
-         text_lengths.size() == n);
+  assert(names.size() == n && parents.size() == n);
   Document out(std::move(pool));
   out.kinds_.assign(reinterpret_cast<const NodeKind*>(kinds.data()),
                     reinterpret_cast<const NodeKind*>(kinds.data()) + n);
   out.names_.assign(names.begin(), names.end());
   out.parents_.assign(parents.begin(), parents.end());
-  out.first_children_.assign(first_children.begin(), first_children.end());
-  out.next_siblings_.assign(next_siblings.begin(), next_siblings.end());
-  out.first_attrs_.assign(first_attrs.begin(), first_attrs.end());
-  out.text_offsets_.assign(text_offsets.begin(), text_offsets.end());
-  out.text_lengths_.assign(text_lengths.begin(), text_lengths.end());
+  for (std::vector<NodeId>* links :
+       {&out.first_children_, &out.last_children_, &out.next_siblings_,
+        &out.first_attrs_, &out.last_attrs_}) {
+    links->assign(n, kNullNode);
+  }
+  out.text_offsets_.assign(n, 0);
+  out.text_lengths_.assign(n, 0);
   out.text_buffer_.assign(text_buffer.data(), text_buffer.size());
-  // Tail pointers are rebuilt, not stored: children appear in increasing id
-  // order, so the last assignment per parent wins.
-  out.last_children_.assign(n, kNullNode);
-  out.last_attrs_.assign(n, kNullNode);
-  out.element_count_ = 0;
+  // Nodes are linked in id order, as the builders append them, so every
+  // link comes out the same.
+  size_t slice = 0;
   for (NodeId i = 1; i < n; ++i) {
-    const NodeId parent = out.parents_[i];
-    if (parent == kNullNode || parent >= n) continue;
-    if (out.kinds_[i] == NodeKind::kAttribute) {
-      out.last_attrs_[parent] = i;
+    const NodeKind kind = out.kinds_[i];
+    if (kind == NodeKind::kAttribute) {
+      out.AppendAttr(parents[i], i);
     } else {
-      out.last_children_[parent] = i;
+      out.AppendChild(parents[i], i);
+    }
+    if (kind == NodeKind::kElement) ++out.element_count_;
+    if (IsContentKind(kind)) {
+      const uint64_t end = slice + 1 < text_offsets.size()
+                               ? text_offsets[slice + 1]
+                               : text_buffer.size();
+      out.text_offsets_[i] = static_cast<uint32_t>(text_offsets[slice]);
+      out.text_lengths_[i] =
+          static_cast<uint32_t>(end - text_offsets[slice]);
+      ++slice;
     }
   }
-  for (NodeKind k : out.kinds_) {
-    if (k == NodeKind::kElement) ++out.element_count_;
-  }
+  assert(slice == text_offsets.size());
   return out;
 }
 
@@ -97,6 +97,15 @@ void Document::AppendChild(NodeId parent, NodeId child) {
     next_siblings_[last_children_[parent]] = child;
   }
   last_children_[parent] = child;
+}
+
+void Document::AppendAttr(NodeId element, NodeId attr) {
+  if (first_attrs_[element] == kNullNode) {
+    first_attrs_[element] = attr;
+  } else {
+    next_siblings_[last_attrs_[element]] = attr;
+  }
+  last_attrs_[element] = attr;
 }
 
 void Document::SetText(NodeId n, std::string_view text) {
@@ -140,12 +149,7 @@ NodeId Document::AddAttribute(NodeId element, std::string_view name,
                               std::string_view value) {
   assert(IsElement(element));
   NodeId id = NewNode(NodeKind::kAttribute, pool_->Intern(name), element);
-  if (first_attrs_[element] == kNullNode) {
-    first_attrs_[element] = id;
-  } else {
-    next_siblings_[last_attrs_[element]] = id;
-  }
-  last_attrs_[element] = id;
+  AppendAttr(element, id);
   SetText(id, value);
   return id;
 }

@@ -32,6 +32,14 @@ enum class NodeKind : uint8_t {
 
 std::string_view NodeKindName(NodeKind kind);
 
+/// True for the kinds that own a text slice (text, attribute, comment, PI):
+/// the nodes Document::Text and the succinct content store cover.
+inline bool IsContentKind(NodeKind kind) {
+  return kind == NodeKind::kText || kind == NodeKind::kAttribute ||
+         kind == NodeKind::kComment ||
+         kind == NodeKind::kProcessingInstruction;
+}
+
 /// In-memory XML tree stored as a struct-of-arrays arena.
 ///
 /// This is the `Tree` sort of the logical algebra and the substrate every
@@ -56,19 +64,19 @@ class Document {
   Document(Document&&) = default;
   Document& operator=(Document&&) = default;
 
-  /// Rebuilds a document from serialized arena arrays (snapshot open path).
-  /// All arrays must have the same length; `last_children`/`last_attrs` tail
-  /// pointers and the element count are recomputed rather than stored.
-  /// Callers validate id ranges and text slices beforehand (snapshot_reader).
+  /// Rebuilds a document from its primary arrays (snapshot open path): the
+  /// kind, name and parent of every node, plus one text slice per
+  /// content-bearing node in id order — `text_offsets[k]` starts the k-th
+  /// slice of `text_buffer`, which ends where the next one starts. The
+  /// child, sibling and attribute links are filled in here. Callers
+  /// validate beforehand (snapshot_reader) that parents precede their
+  /// children, attributes precede their owner's other children, and the
+  /// offsets are monotone within the buffer.
   static Document FromParts(std::shared_ptr<NamePool> pool,
                             std::span<const uint8_t> kinds,
                             std::span<const NameId> names,
                             std::span<const NodeId> parents,
-                            std::span<const NodeId> first_children,
-                            std::span<const NodeId> next_siblings,
-                            std::span<const NodeId> first_attrs,
-                            std::span<const uint32_t> text_offsets,
-                            std::span<const uint32_t> text_lengths,
+                            std::span<const uint64_t> text_offsets,
                             std::string_view text_buffer);
 
   // -- Construction ---------------------------------------------------------
@@ -151,22 +159,19 @@ class Document {
 
   // -- Snapshot serialization hooks ----------------------------------------
 
-  /// Raw arena arrays, all of length NodeCount(). The kind array doubles as
-  /// the succinct document's kind stream (ranks == NodeIds), so snapshots
-  /// store it once.
+  /// Raw kind and name arrays, of length NodeCount(). They double as the
+  /// succinct document's streams (ranks == NodeIds), so snapshots store them
+  /// once.
   std::span<const NodeKind> KindSpan() const { return kinds_; }
   std::span<const NameId> NameSpan() const { return names_; }
-  std::span<const NodeId> ParentSpan() const { return parents_; }
-  std::span<const NodeId> FirstChildSpan() const { return first_children_; }
-  std::span<const NodeId> NextSiblingSpan() const { return next_siblings_; }
-  std::span<const NodeId> FirstAttrSpan() const { return first_attrs_; }
-  std::span<const uint32_t> TextOffsetSpan() const { return text_offsets_; }
-  std::span<const uint32_t> TextLengthSpan() const { return text_lengths_; }
+  /// Every node's text, concatenated in id order; byte-identical to the
+  /// succinct content buffer, which is the copy snapshots store.
   std::string_view TextBufferView() const { return text_buffer_; }
 
  private:
   NodeId NewNode(NodeKind kind, NameId name, NodeId parent);
   void AppendChild(NodeId parent, NodeId child);
+  void AppendAttr(NodeId element, NodeId attr);
   void SetText(NodeId n, std::string_view text);
 
   std::shared_ptr<NamePool> pool_;

@@ -892,58 +892,87 @@ TEST(ScrubTest, DetectsEverySingleBitFlipBehindRecomputedChecksums) {
 }
 
 TEST(ScrubTest, QuarantinesSnapshotTruncatedOrDeletedAtRest) {
+  // A quarantined document heals by being registered again, or by a Persist
+  // of the entry it still serves.
+  enum class Heal { kRegister, kPersist };
   for (const AtRest damage : {AtRest::kTruncated, AtRest::kDeleted}) {
-    SCOPED_TRACE(AtRestName(damage));
-    TempDir dir("recovery_at_rest_scrub");
-    const std::string victim = SeedThreeDocStore(dir.path());
-    Database db;
-    ASSERT_TRUE(db.Attach(dir.path(), SnapshotOpenMode::kCopy).ok());
-    DamageAtRest(victim, damage);
-    const uint64_t healthy_bytes =
-        std::filesystem::file_size(dir.path() + "/good1.xml-g1.xqpack") +
-        std::filesystem::file_size(dir.path() + "/good2.xml-g3.xqpack");
-    const uint64_t victim_bytes = damage == AtRest::kTruncated
-                                      ? std::filesystem::file_size(victim)
-                                      : 0;
+    for (const SnapshotOpenMode mode :
+         {SnapshotOpenMode::kCopy, SnapshotOpenMode::kMap}) {
+      for (const Heal heal : {Heal::kRegister, Heal::kPersist}) {
+        SCOPED_TRACE(std::string(AtRestName(damage)) +
+                     (mode == SnapshotOpenMode::kMap ? ", mmap" : ", copy") +
+                     (heal == Heal::kPersist ? ", persist" : ", register"));
+        TempDir dir("recovery_at_rest_scrub");
+        const std::string victim = SeedThreeDocStore(dir.path());
+        Database db;
+        ASSERT_TRUE(db.Attach(dir.path(), mode).ok());
+        DamageAtRest(victim, damage);
+        const uint64_t healthy_bytes =
+            std::filesystem::file_size(dir.path() + "/good1.xml-g1.xqpack") +
+            std::filesystem::file_size(dir.path() + "/good2.xml-g3.xqpack");
+        const uint64_t victim_bytes = damage == AtRest::kTruncated
+                                          ? std::filesystem::file_size(victim)
+                                          : 0;
 
-    auto report = db.Scrub(ScrubOptions{});
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->files_checked, 3u);
-    EXPECT_EQ(report->bytes_read, healthy_bytes + victim_bytes);
-    EXPECT_EQ(report->corrupt, 1u);
-    ASSERT_EQ(report->quarantined.size(), 1u);
-    const std::string& line = report->quarantined[0];
-    EXPECT_EQ(line.rfind("victim.xml (victim.xml-g2.xqpack): ", 0), 0u)
-        << line;
-    EXPECT_NE(line.find(AtRestReason(damage)), std::string::npos) << line;
-    EXPECT_EQ(std::filesystem::exists(victim + ".quarantined"),
-              damage == AtRest::kTruncated);
+        auto report = db.Scrub(ScrubOptions{});
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_EQ(report->files_checked, 3u);
+        EXPECT_EQ(report->bytes_read, healthy_bytes + victim_bytes);
+        EXPECT_EQ(report->corrupt, 1u);
+        ASSERT_EQ(report->quarantined.size(), 1u);
+        const std::string& line = report->quarantined[0];
+        EXPECT_EQ(line.rfind("victim.xml (victim.xml-g2.xqpack): ", 0), 0u)
+            << line;
+        EXPECT_NE(line.find(AtRestReason(damage)), std::string::npos) << line;
+        EXPECT_EQ(std::filesystem::exists(victim + ".quarantined"),
+                  damage == AtRest::kTruncated);
 
-    // The victim keeps serving its load-time-validated copy, flagged; the
-    // other documents keep serving unflagged.
-    auto victim_result = db.Query("count(doc(\"victim.xml\")//book)");
-    ASSERT_TRUE(victim_result.ok()) << victim_result.status().ToString();
-    EXPECT_EQ(victim_result->value.at(0).StringValue(), "12");
-    EXPECT_TRUE(victim_result->degraded);
-    auto good_result = db.Query("count(doc(\"good2.xml\")//book)");
-    ASSERT_TRUE(good_result.ok()) << good_result.status().ToString();
-    EXPECT_EQ(good_result->value.at(0).StringValue(), "9");
-    EXPECT_FALSE(good_result->degraded);
+        // The victim keeps serving a validated in-memory copy, flagged,
+        // unless its mapping reaches past a truncated file's end; the other
+        // documents keep serving unflagged.
+        const bool dropped =
+            mode == SnapshotOpenMode::kMap && damage == AtRest::kTruncated;
+        auto victim_result = db.Query("count(doc(\"victim.xml\")//book)");
+        if (dropped) {
+          EXPECT_FALSE(victim_result.ok());
+          EXPECT_FALSE(db.Contains("victim.xml"));
+        } else {
+          ASSERT_TRUE(victim_result.ok())
+              << victim_result.status().ToString();
+          EXPECT_EQ(victim_result->value.at(0).StringValue(), "12");
+          EXPECT_TRUE(victim_result->degraded);
+        }
+        auto good_result = db.Query("count(doc(\"good2.xml\")//book)");
+        ASSERT_TRUE(good_result.ok()) << good_result.status().ToString();
+        EXPECT_EQ(good_result->value.at(0).StringValue(), "9");
+        EXPECT_FALSE(good_result->degraded);
 
-    // The quarantine is journaled: the next pass checks only the survivors.
-    auto second = db.Scrub(ScrubOptions{});
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    EXPECT_EQ(second->files_checked, 2u);
-    EXPECT_EQ(second->bytes_read, healthy_bytes);
-    EXPECT_EQ(second->corrupt, 0u);
+        // The quarantine is journaled: the next pass checks only the
+        // survivors.
+        auto second = db.Scrub(ScrubOptions{});
+        ASSERT_TRUE(second.ok()) << second.status().ToString();
+        EXPECT_EQ(second->files_checked, 2u);
+        EXPECT_EQ(second->bytes_read, healthy_bytes);
+        EXPECT_EQ(second->corrupt, 0u);
 
-    // Registering the document again replaces the degraded entry, and the
-    // note goes with it.
-    ASSERT_TRUE(db.RegisterDocument("victim.xml", MakeBib(12)).ok());
-    auto fresh = db.Query("count(doc(\"victim.xml\")//book)");
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    EXPECT_EQ(fresh->value.at(0).StringValue(), "12");
-    EXPECT_FALSE(fresh->degraded) << fresh->degradation;
+        // Either heal replaces what the note describes, and the note goes. A
+        // dropped document is registered before it can be persisted.
+        if (heal == Heal::kRegister || dropped) {
+          ASSERT_TRUE(db.RegisterDocument("victim.xml", MakeBib(12)).ok());
+        }
+        if (heal == Heal::kPersist) {
+          ASSERT_TRUE(db.Persist("victim.xml").ok());
+        }
+        auto fresh = db.Query("count(doc(\"victim.xml\")//book)");
+        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+        EXPECT_EQ(fresh->value.at(0).StringValue(), "12");
+        EXPECT_FALSE(fresh->degraded) << fresh->degradation;
+        auto healed = db.Scrub(ScrubOptions{});
+        ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+        EXPECT_EQ(healed->files_checked, heal == Heal::kPersist ? 3u : 2u);
+        EXPECT_EQ(healed->corrupt, 0u);
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "xmlq/base/strings.h"
 #include "xmlq/datagen/auction_gen.h"
 #include "xmlq/datagen/bib_gen.h"
+#include "xmlq/datagen/random_tree.h"
 #include "xmlq/storage/manifest.h"
 #include "xmlq/storage/snapshot.h"
 #include "xmlq/xml/serializer.h"
@@ -132,18 +134,29 @@ TEST(SnapshotTest, RoundTripPreservesQueryResults) {
                              reopened.Get("bib.xml")->dom->root(), {}),
               bib_xml);
 
-    // Both open paths borrow the succinct structures from the backing bytes
-    // (mapping or aligned heap copy): zero owned heap for them either way.
+    // Both open paths borrow the succinct streams (BP words, kinds, names,
+    // content) from the backing bytes (mapping or aligned heap copy); only
+    // the directories and the has-content bitmap are built on the heap. The
+    // region index and the value index are built at open.
     auto report = reopened.Report("auction.xml");
     ASSERT_TRUE(report.ok());
+    const auto built = db.Report("auction.xml");
+    ASSERT_TRUE(built.ok());
     EXPECT_TRUE(report->from_snapshot);
     EXPECT_EQ(report->mapped, mode == SnapshotOpenMode::kMap);
     EXPECT_GT(report->snapshot_file_bytes, 0u);
-    EXPECT_EQ(report->succinct_heap_bytes, 0u);
-    EXPECT_EQ(report->region_index_heap_bytes, 0u);
-    // The value index materializes string_views over the restored DOM text.
+    EXPECT_GT(report->succinct_heap_bytes, 0u);
+    EXPECT_LT(report->succinct_heap_bytes,
+              report->succinct_structure_bytes / 2);
+    EXPECT_EQ(report->region_index_heap_bytes, report->region_index_bytes);
     EXPECT_GT(report->value_index_heap_bytes, 0u);
-    EXPECT_EQ(report->node_count, db.Report("auction.xml")->node_count);
+    // The same structures as a load, byte for byte.
+    EXPECT_EQ(report->dom_bytes, built->dom_bytes);
+    EXPECT_EQ(report->succinct_structure_bytes,
+              built->succinct_structure_bytes);
+    EXPECT_EQ(report->succinct_content_bytes, built->succinct_content_bytes);
+    EXPECT_EQ(report->region_index_bytes, built->region_index_bytes);
+    EXPECT_EQ(report->node_count, built->node_count);
   }
 }
 
@@ -172,6 +185,153 @@ TEST(SnapshotTest, RoundTripTinyAndTextHeavyDocuments) {
                 before);
     }
   }
+}
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// Every structure the open path derives equals the one LoadDocument built.
+void ExpectSameComponents(const exec::IndexedDocument& loaded,
+                          const storage::OpenedSnapshot& opened) {
+  const xml::Document& want = *loaded.dom;
+  const xml::Document& got = *opened.dom;
+  ASSERT_EQ(got.NodeCount(), want.NodeCount());
+  EXPECT_EQ(got.ElementCount(), want.ElementCount());
+  EXPECT_EQ(got.TextBufferView(), want.TextBufferView());
+  for (xml::NodeId i = 0; i < want.NodeCount(); ++i) {
+    if (got.Kind(i) != want.Kind(i) || got.Name(i) != want.Name(i) ||
+        got.Parent(i) != want.Parent(i) ||
+        got.FirstChild(i) != want.FirstChild(i) ||
+        got.NextSibling(i) != want.NextSibling(i) ||
+        got.FirstAttr(i) != want.FirstAttr(i) || got.Text(i) != want.Text(i)) {
+      ADD_FAILURE() << "DOM node " << i << " differs";
+      return;
+    }
+  }
+
+  const storage::RegionIndex& regions = *opened.regions;
+  EXPECT_TRUE(SameBytes(regions.EndSpan(), loaded.regions->EndSpan()));
+  EXPECT_TRUE(SameBytes(regions.LevelSpan(), loaded.regions->LevelSpan()));
+  for (const bool attribute : {false, true}) {
+    EXPECT_TRUE(SameBytes(regions.PostingSpan(attribute),
+                          loaded.regions->PostingSpan(attribute)));
+    for (xml::NameId name = 0; name < want.pool().size(); ++name) {
+      EXPECT_TRUE(SameBytes(regions.Postings(name, attribute),
+                            loaded.regions->Postings(name, attribute)))
+          << want.pool().NameOf(name);
+    }
+  }
+
+  const storage::SuccinctDocument& sw = *loaded.succinct;
+  const storage::SuccinctDocument& sg = *opened.succinct;
+  ASSERT_EQ(sg.NodeCount(), sw.NodeCount());
+  for (uint32_t r = 0; r < sw.NodeCount(); ++r) {
+    if (sg.Kind(r) != sw.Kind(r) || sg.Label(r) != sw.Label(r)) {
+      ADD_FAILURE() << "succinct stream rank " << r << " differs";
+      return;
+    }
+  }
+  EXPECT_TRUE(SameBytes(sg.bp().bits().WordSpan(), sw.bp().bits().WordSpan()));
+  EXPECT_TRUE(SameBytes(sg.bp().bits().SuperRankSpan(),
+                        sw.bp().bits().SuperRankSpan()));
+  EXPECT_TRUE(SameBytes(sg.bp().WordDirSpan(), sw.bp().WordDirSpan()));
+  EXPECT_TRUE(SameBytes(sg.bp().SuperDirSpan(), sw.bp().SuperDirSpan()));
+  EXPECT_TRUE(
+      SameBytes(sg.has_content().WordSpan(), sw.has_content().WordSpan()));
+  EXPECT_TRUE(SameBytes(sg.has_content().SuperRankSpan(),
+                        sw.has_content().SuperRankSpan()));
+  EXPECT_EQ(sg.has_content().OneCount(), sw.has_content().OneCount());
+  EXPECT_TRUE(SameBytes(sg.content().OffsetSpan(), sw.content().OffsetSpan()));
+  EXPECT_EQ(sg.content().BufferView(), sw.content().BufferView());
+
+  const storage::ValueIndex& values = *opened.values;
+  EXPECT_EQ(values.size(), loaded.values->size());
+  for (const bool attribute : {false, true}) {
+    const std::vector<xml::NodeId> nodes = values.EntryNodes(attribute);
+    EXPECT_EQ(nodes, loaded.values->EntryNodes(attribute));
+    EXPECT_TRUE(SameBytes(values.OffsetSpan(attribute),
+                          loaded.values->OffsetSpan(attribute)));
+    EXPECT_TRUE(SameBytes(values.NumericSpan(attribute),
+                          loaded.values->NumericSpan(attribute)));
+    EXPECT_TRUE(SameBytes(values.NumericOffsetSpan(attribute),
+                          loaded.values->NumericOffsetSpan(attribute)));
+    for (const xml::NodeId node : nodes) {
+      const auto value =
+          storage::ValueIndex::IndexedValue(got, node, attribute);
+      ASSERT_TRUE(value.has_value()) << node;
+      EXPECT_EQ(values.Lookup(got.Name(node), *value, attribute),
+                loaded.values->Lookup(got.Name(node), *value, attribute));
+    }
+  }
+}
+
+TEST(SnapshotTest, OpenRebuildsWhatLoadBuilds) {
+  struct Input {
+    std::string what;
+    std::string xml;
+  };
+  datagen::AuctionOptions auction;
+  auction.scale = 0.02;
+  datagen::BibOptions bib;
+  bib.num_books = 30;
+  datagen::RandomTreeOptions random;
+  random.num_elements = 400;
+  random.seed = 11;
+  const auto serialize = [](const std::unique_ptr<xml::Document>& doc) {
+    return xml::Serialize(*doc, doc->root(), {});
+  };
+  std::string chain;
+  for (int i = 0; i < 100000; ++i) chain += "<d>";
+  for (int i = 0; i < 100000; ++i) chain += "</d>";
+  const std::vector<Input> inputs = {
+      {"auction", serialize(datagen::GenerateAuctionSite(auction))},
+      {"bibliography", serialize(datagen::GenerateBibliography(bib))},
+      {"random tree", serialize(datagen::GenerateRandomTree(random))},
+      {"comments and PIs",
+       "<?xml version=\"1.0\"?><!-- lead --><?style sheet?>"
+       "<r a=\"1\"><!-- c --><x>1</x><?p q?><y b=\"2\" c=\"3\">t<z/>u</y>"
+       "<x>nan</x><x>-2.5</x></r><!-- tail -->"},
+      {"attribute-only element", "<r><e a=\"1\" b=\"two\"/></r>"},
+      {"one element", "<a/>"},
+      {"100k-deep chain", chain},
+  };
+  xml::ParseOptions options;
+  options.keep_comments = true;
+  options.keep_processing_instructions = true;
+  int index = 0;
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.what);
+    Database db;
+    ASSERT_TRUE(db.LoadDocument("d.xml", input.xml, options).ok());
+    const exec::IndexedDocument& loaded = *db.Get("d.xml");
+    // Storing the text once relies on the DOM's text buffer and the
+    // content store holding the same bytes.
+    ASSERT_EQ(loaded.dom->TextBufferView(),
+              loaded.succinct->content().BufferView());
+    TempFile file("rebuild_" + std::to_string(index++) + ".xqpack");
+    ASSERT_TRUE(db.Save("d.xml", file.path()).ok());
+    for (const SnapshotOpenMode mode :
+         {SnapshotOpenMode::kMap, SnapshotOpenMode::kCopy}) {
+      SCOPED_TRACE(mode == SnapshotOpenMode::kMap ? "mmap" : "copy");
+      auto opened = OpenSnapshot(file.path(), mode);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      ExpectSameComponents(loaded, *opened);
+    }
+  }
+
+  // A bare document node, the smallest document there is.
+  Database db;
+  ASSERT_TRUE(
+      db.RegisterDocument("empty.xml", std::make_unique<xml::Document>())
+          .ok());
+  TempFile file("rebuild_empty.xqpack");
+  ASSERT_TRUE(db.Save("empty.xml", file.path()).ok());
+  auto opened = OpenSnapshot(file.path(), SnapshotOpenMode::kCopy);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ExpectSameComponents(*db.Get("empty.xml"), *opened);
 }
 
 TEST(SnapshotTest, WriteInfoDescribesEverySection) {
@@ -457,55 +617,70 @@ TEST(SnapshotTest, FuzzHeaderAndTableMutations) {
 }
 
 TEST(SnapshotTest, FuzzPayloadMutationsBehindValidChecksums) {
+  // A bibliography, and a document with comments, PIs and numeric runs in
+  // both value families.
   Database db;
   datagen::BibOptions bib;
   bib.num_books = 6;
   ASSERT_TRUE(
       db.RegisterDocument("bib.xml", datagen::GenerateBibliography(bib)).ok());
-  TempFile file("fuzz_payload.xqpack");
-  ASSERT_TRUE(db.Save("bib.xml", file.path()).ok());
-  const std::string pristine = ReadFileOrDie(file.path());
+  xml::ParseOptions options;
+  options.keep_comments = true;
+  options.keep_processing_instructions = true;
+  ASSERT_TRUE(db.LoadDocument("mixed.xml",
+                              "<?xml version=\"1.0\"?><!-- head --><?style s?>"
+                              "<r><!-- c --><n v=\"1.5\">10</n><n v=\"x\">-3"
+                              "</n><?pi body?><n>7e2</n><n>nan</n><m w=\"2\">"
+                              "abc<i/></m><m w=\"-1\">4</m></r><!-- tail -->",
+                              options)
+                  .ok());
   const size_t kPayloadStart =
       ((sizeof(storage::SnapshotHeader) +
         storage::kSnapshotSectionCount * sizeof(storage::SnapshotSection)) +
        63) /
       64 * 64;
-  ASSERT_LT(kPayloadStart, pristine.size());
+  for (const char* name : {"bib.xml", "mixed.xml"}) {
+    SCOPED_TRACE(name);
+    TempFile file("fuzz_payload.xqpack");
+    ASSERT_TRUE(db.Save(name, file.path()).ok());
+    const std::string pristine = ReadFileOrDie(file.path());
+    ASSERT_LT(kPayloadStart, pristine.size());
 
-  Rng rng(7);
-  for (int i = 0; i < 600; ++i) {
-    std::string image = pristine;
-    // Overwrite-only mutations inside payload bytes, then recompute every
-    // checksum: the semantic validators are the only remaining line of
-    // defence, and they must reject or yield a safely walkable document.
-    const int mutations = 1 + static_cast<int>(rng.Below(4));
-    for (int m = 0; m < mutations; ++m) {
-      const size_t pos =
-          kPayloadStart + rng.Below(image.size() - kPayloadStart);
-      switch (rng.Below(4)) {
-        case 0:
-          image[pos] = static_cast<char>(image[pos] ^ (1 << rng.Below(8)));
-          break;
-        case 1:
-          image[pos] = static_cast<char>(rng.Below(256));
-          break;
-        case 2: {  // zero a span
-          const size_t len =
-              std::min(image.size() - pos, size_t{1} + rng.Below(48));
-          std::memset(image.data() + pos, 0, len);
-          break;
-        }
-        default: {  // saturate a span
-          const size_t len =
-              std::min(image.size() - pos, size_t{1} + rng.Below(48));
-          std::memset(image.data() + pos, 0xff, len);
-          break;
+    Rng rng(7);
+    for (int i = 0; i < 600; ++i) {
+      std::string image = pristine;
+      // Overwrite-only mutations inside payload bytes, then recompute every
+      // checksum: the semantic validators are the only remaining line of
+      // defence, and they must reject or yield a safely walkable document.
+      const int mutations = 1 + static_cast<int>(rng.Below(4));
+      for (int m = 0; m < mutations; ++m) {
+        const size_t pos =
+            kPayloadStart + rng.Below(image.size() - kPayloadStart);
+        switch (rng.Below(4)) {
+          case 0:
+            image[pos] = static_cast<char>(image[pos] ^ (1 << rng.Below(8)));
+            break;
+          case 1:
+            image[pos] = static_cast<char>(rng.Below(256));
+            break;
+          case 2: {  // zero a span
+            const size_t len =
+                std::min(image.size() - pos, size_t{1} + rng.Below(48));
+            std::memset(image.data() + pos, 0, len);
+            break;
+          }
+          default: {  // saturate a span
+            const size_t len =
+                std::min(image.size() - pos, size_t{1} + rng.Below(48));
+            std::memset(image.data() + pos, 0xff, len);
+            break;
+          }
         }
       }
+      FixChecksums(&image);
+      FuzzOpen(std::move(image));
+      if (HasFatalFailure()) FAIL() << "iteration " << i;
     }
-    FixChecksums(&image);
-    FuzzOpen(std::move(image));
-    if (HasFatalFailure()) FAIL() << "iteration " << i;
   }
 }
 
@@ -552,6 +727,22 @@ std::string_view SectionBytes(const std::string& image,
   return {};
 }
 
+template <typename T>
+std::string_view AsBytes(const std::vector<T>& v) {
+  return std::string_view(reinterpret_cast<const char*>(v.data()),
+                          v.size() * sizeof(T));
+}
+
+template <typename T>
+std::vector<T> SectionArray(const std::string& image,
+                            const storage::SnapshotWriteInfo& info,
+                            storage::SectionId id) {
+  const std::string_view bytes = SectionBytes(image, info, id);
+  std::vector<T> out(bytes.size() / sizeof(T));
+  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+  return out;
+}
+
 /// A document whose `p` data elements hold "nan" one time in three.
 std::string NanDocument() {
   std::string text = "<r>";
@@ -563,22 +754,22 @@ std::string NanDocument() {
   return text + "</r>";
 }
 
-TEST(SnapshotTest, RefusesVersionOneImages) {
+TEST(SnapshotTest, RefusesVersionTwoImages) {
   Database db;
   ASSERT_TRUE(db.LoadDocument("nan.xml", NanDocument()).ok());
-  TempFile file("v1_src.xqpack");
+  TempFile file("v2_src.xqpack");
   auto info = db.Save("nan.xml", file.path());
   ASSERT_TRUE(info.ok());
-  // A version-1 header over otherwise valid bytes, every checksum sealed.
+  // A version-2 header over otherwise valid bytes, every checksum sealed.
   std::string old = ReadFileOrDie(file.path());
   storage::SnapshotHeader header;
   std::memcpy(&header, old.data(), sizeof(header));
-  ASSERT_EQ(header.version, 2u);
-  header.version = 1;
+  ASSERT_EQ(header.version, 3u);
+  header.version = 2;
   std::memcpy(old.data(), &header, sizeof(header));
   FixChecksums(&old);
 
-  const std::string want = "unsupported version 1 (expected 2)";
+  const std::string want = "unsupported version 2 (expected 3)";
   auto opened =
       OpenSnapshotFromBytes(FileBytes::Copy(old));
   ASSERT_FALSE(opened.ok());
@@ -592,9 +783,9 @@ TEST(SnapshotTest, RefusesVersionOneImages) {
         << verified.ToString();
   }
 
-  // A store a version-1 build journaled: Attach quarantines the snapshot
+  // A store a version-2 build journaled: Attach quarantines the snapshot
   // with the version error and keeps serving the rest.
-  const std::string dir = "v1_store";
+  const std::string dir = "v2_store";
   std::filesystem::remove_all(dir);
   {
     Database store;
@@ -637,18 +828,13 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
   const std::string image = ReadFileOrDie(file.path());
   const std::string_view section = SectionBytes(
       image, *info, storage::SectionId::kValueElementEntries);
-  ASSERT_GE(section.size(), 2 * sizeof(storage::ValueIndex::PackedEntry));
-  const size_t offset = section.data() - image.data();
-  std::vector<storage::ValueIndex::PackedEntry> entries(
-      section.size() / sizeof(storage::ValueIndex::PackedEntry));
+  ASSERT_GE(section.size(), 2 * sizeof(xml::NodeId));
+  std::vector<xml::NodeId> entries(section.size() / sizeof(xml::NodeId));
   std::memcpy(entries.data(), section.data(), section.size());
 
-  const auto open_with = [&](const std::vector<
-                             storage::ValueIndex::PackedEntry>& mutated) {
-    std::string bad = image;
-    std::memcpy(bad.data() + offset, mutated.data(), section.size());
-    FixChecksums(&bad);
-    return OpenSnapshotFromBytes(FileBytes::Copy(bad));
+  const auto open_with = [&](const std::vector<xml::NodeId>& mutated) {
+    return OpenSnapshotFromBytes(FileBytes::Copy(ReplaceSection(
+        image, storage::SectionId::kValueElementEntries, AsBytes(mutated))));
   };
   // A text run out of value order: EqualRun's binary search would miss rows.
   auto swapped = entries;
@@ -659,13 +845,9 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
             std::string::npos);
   EXPECT_NE(opened.status().message().find("out of order"), std::string::npos)
       << opened.status().ToString();
-  // An entry naming a node of another name (the root `r`).
+  // An entry naming a node of another name (the root element `r`).
   auto renamed = entries;
-  renamed[1].node = db.Get("nan.xml")->dom->root();
-  if (db.Get("nan.xml")->dom->Kind(renamed[1].node) !=
-      xml::NodeKind::kElement) {
-    renamed[1].node = db.Get("nan.xml")->dom->FirstChild(renamed[1].node);
-  }
+  renamed[1] = db.Get("nan.xml")->dom->RootElement();
   opened = open_with(renamed);
   ASSERT_FALSE(opened.ok());
   EXPECT_NE(opened.status().message().find("another name or kind"),
@@ -703,85 +885,138 @@ TEST(SnapshotTest, CorruptValueRunsRejected) {
   }
 }
 
-TEST(SnapshotTest, CorruptRegionIndexRejected) {
+TEST(SnapshotTest, CorruptPrimarySectionsRejected) {
+  // Node ids: 0 document, 1 r, 2 a, 3 k, 4 b, 5 "text", 6 c, 7 @x, 8 p,
+  // 9 "1", 10 p, 11 "2", 12 p, 13 q. The p at 12 is not a data element.
+  const std::string text =
+      "<r><a><k/></a><b/>text<c x=\"1\"/><p>1</p><p>2</p><p><q/></p></r>";
   Database db;
-  datagen::BibOptions bib;
-  bib.num_books = 8;
-  ASSERT_TRUE(
-      db.RegisterDocument("bib.xml", datagen::GenerateBibliography(bib)).ok());
-  TempFile file("postings_src.xqpack");
-  auto info = db.Save("bib.xml", file.path());
+  ASSERT_TRUE(db.LoadDocument("d.xml", text).ok());
+  const xml::Document& dom = *db.Get("d.xml")->dom;
+  ASSERT_EQ(dom.NodeCount(), 14u);
+  ASSERT_EQ(dom.Kind(7), xml::NodeKind::kAttribute);
+  ASSERT_EQ(dom.NameStr(12), "p");
+  TempFile file("primary_src.xqpack");
+  auto info = db.Save("d.xml", file.path());
   ASSERT_TRUE(info.ok());
   const std::string image = ReadFileOrDie(file.path());
-  const xml::Document& dom = *db.Get("bib.xml")->dom;
-  const xml::NamePool& pool = dom.pool();
-  const auto read_u32 = [&](storage::SectionId id) {
-    const std::string_view bytes = SectionBytes(image, *info, id);
-    std::vector<uint32_t> out(bytes.size() / sizeof(uint32_t));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  };
-  const auto as_bytes = [](const std::vector<uint32_t>& v) {
-    return std::string_view(reinterpret_cast<const char*>(v.data()),
-                            v.size() * sizeof(uint32_t));
-  };
-  const std::vector<uint32_t> elements =
-      read_u32(storage::SectionId::kRegionElementPostings);
-  const std::vector<uint32_t> fence =
-      read_u32(storage::SectionId::kRegionElementOffsets);
-  const std::vector<uint32_t> attributes =
-      read_u32(storage::SectionId::kRegionAttributePostings);
-  const std::vector<uint32_t> ends =
-      read_u32(storage::SectionId::kRegionEnds);
-  // The `book` list (8 entries) inside the element postings.
-  const xml::NameId book = pool.Find("book");
-  const uint32_t first_book = fence[book];
-  ASSERT_EQ(fence[book + 1] - first_book, 8u);
+  using storage::SectionId;
+  const auto kinds = SectionArray<uint8_t>(image, *info, SectionId::kNodeKinds);
+  const auto names =
+      SectionArray<xml::NameId>(image, *info, SectionId::kNodeNames);
+  const auto bp = SectionArray<uint64_t>(image, *info, SectionId::kBpWords);
+  const auto offsets =
+      SectionArray<uint64_t>(image, *info, SectionId::kContentOffsets);
+  const auto entries =
+      SectionArray<xml::NodeId>(image, *info, SectionId::kValueElementEntries);
+  const auto fence =
+      SectionArray<uint32_t>(image, *info, SectionId::kValueElementOffsets);
+  ASSERT_EQ(bp.size(), 1u);
+  ASSERT_EQ(entries, (std::vector<xml::NodeId>{8, 10}));
+  const auto kind = [](xml::NodeKind k) { return static_cast<uint8_t>(k); };
 
   struct Case {
     const char* what;
-    storage::SectionId id;
-    std::vector<uint32_t> payload;
+    std::string image;
     const char* section;
     const char* detail;
   };
   std::vector<Case> cases;
-  auto swapped = elements;
-  std::swap(swapped[first_book], swapped[first_book + 1]);
-  cases.push_back({"out of order", storage::SectionId::kRegionElementPostings,
-                   swapped, "region_element_postings", "out of order"});
-  auto wrong_kind = elements;
-  wrong_kind[first_book] = attributes.front();
-  cases.push_back({"wrong kind", storage::SectionId::kRegionElementPostings,
-                   wrong_kind, "region_element_postings",
-                   "of another name or kind"});
-  auto wrong_name = elements;
-  wrong_name[first_book] = dom.FirstChild(elements[first_book]);
-  ASSERT_EQ(dom.Kind(wrong_name[first_book]), xml::NodeKind::kElement);
-  cases.push_back({"wrong name", storage::SectionId::kRegionElementPostings,
-                   wrong_name, "region_element_postings",
-                   "of another name or kind"});
-  auto extra = attributes;
-  extra.push_back(attributes.back());
-  cases.push_back({"totals", storage::SectionId::kRegionAttributePostings,
-                   extra, "region_attribute_postings",
-                   "but the document has"});
+  const auto with_kind = [&](size_t node, uint8_t value) {
+    auto mutated = kinds;
+    mutated[node] = value;
+    return ReplaceSection(image, SectionId::kNodeKinds, AsBytes(mutated));
+  };
+  cases.push_back({"kind out of range", with_kind(4, 9), "node_kinds",
+                   "has invalid kind 9"});
+  auto far_name = names;
+  far_name[4] = 1000;
+  cases.push_back({"name past the pool",
+                   ReplaceSection(image, SectionId::kNodeNames,
+                                  AsBytes(far_name)),
+                   "node_names", "name id past the pool"});
+  cases.push_back({"second document node",
+                   with_kind(4, kind(xml::NodeKind::kDocument)), "node_kinds",
+                   "is a second document node"});
+  cases.push_back({"attribute with a child",
+                   with_kind(2, kind(xml::NodeKind::kAttribute)), "node_kinds",
+                   "which must be a leaf"});
+  cases.push_back({"text node with a child",
+                   with_kind(6, kind(xml::NodeKind::kText)), "node_kinds",
+                   "which must be a leaf"});
+  cases.push_back({"attribute not under an element",
+                   with_kind(1, kind(xml::NodeKind::kAttribute)), "node_kinds",
+                   "is not under an element"});
+  cases.push_back({"attribute after an element child",
+                   with_kind(4, kind(xml::NodeKind::kAttribute)), "node_kinds",
+                   "comes after a child of its element"});
+
+  // The sequence opens at bit 0 and closes at bit 27: swapping the two
+  // keeps the open count but starts with a close.
+  auto unbalanced = bp;
+  ASSERT_EQ(unbalanced[0] & 1, 1u);
+  ASSERT_EQ((unbalanced[0] >> 27) & 1, 0u);
+  unbalanced[0] ^= (uint64_t{1} << 27) | 1;
+  cases.push_back({"unbalanced",
+                   ReplaceSection(image, SectionId::kBpWords,
+                                  AsBytes(unbalanced)),
+                   "bp_words", "unbalanced parentheses"});
+  auto short_count = bp;
+  short_count[0] &= ~uint64_t{2};
+  cases.push_back({"open count",
+                   ReplaceSection(image, SectionId::kBpWords,
+                                  AsBytes(short_count)),
+                   "bp_words", "does not match node count 14"});
+  auto tail = bp;
+  tail[0] |= uint64_t{1} << 40;
+  cases.push_back({"tail bits",
+                   ReplaceSection(image, SectionId::kBpWords, AsBytes(tail)),
+                   "bp_words", "nonzero tail bits"});
+
+  auto swapped_offsets = offsets;
+  ASSERT_EQ(offsets, (std::vector<uint64_t>{0, 4, 5, 6}));
+  std::swap(swapped_offsets[1], swapped_offsets[2]);
+  cases.push_back({"offsets not monotone",
+                   ReplaceSection(image, SectionId::kContentOffsets,
+                                  AsBytes(swapped_offsets)),
+                   "content_offsets", "is not monotone"});
+  auto past_buffer = offsets;
+  past_buffer.back() = 8;
+  cases.push_back({"offset past the buffer",
+                   ReplaceSection(image, SectionId::kContentOffsets,
+                                  AsBytes(past_buffer)),
+                   "content_offsets", "is not monotone"});
+  auto extra_offset = offsets;
+  extra_offset.push_back(7);
+  cases.push_back({"offset count",
+                   ReplaceSection(image, SectionId::kContentOffsets,
+                                  AsBytes(extra_offset)),
+                   "content_offsets",
+                   "does not match content-bearing node count 4"});
+
+  const auto with_entries = [&](const std::vector<xml::NodeId>& mutated) {
+    return ReplaceSection(image, SectionId::kValueElementEntries,
+                          AsBytes(mutated));
+  };
+  cases.push_back({"entry on a non-data element", with_entries({8, 12}),
+                   "value_element_entries", "is not a data element"});
+  cases.push_back({"run repeats a node", with_entries({8, 8}),
+                   "value_element_entries", "repeats a node"});
+  // Dropping p at 10: the run and every later fence entry shrink by one.
+  const xml::NameId p = dom.Name(8);
   auto short_fence = fence;
-  --short_fence.back();
-  cases.push_back({"fence", storage::SectionId::kRegionElementOffsets,
-                   short_fence, "region_element_offsets",
-                   "fence does not cover exactly"});
-  // An attribute whose region swallows the next node: in range, but not
-  // its subtree end.
-  auto long_end = ends;
-  ++long_end[attributes.front()];
-  cases.push_back({"subtree end", storage::SectionId::kRegionEnds, long_end,
-                   "region_ends", "disagrees with the parent links"});
+  for (size_t name = p + 1; name < short_fence.size(); ++name) {
+    --short_fence[name];
+  }
+  cases.push_back(
+      {"run drops a node",
+       ReplaceSection(with_entries({8}), SectionId::kValueElementOffsets,
+                      AsBytes(short_fence)),
+       "value_element_entries", "but the document has 2 data elements"});
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
-    const std::string bad = ReplaceSection(image, c.id, as_bytes(c.payload));
-    auto opened = OpenSnapshotFromBytes(FileBytes::Copy(bad));
+    auto opened = OpenSnapshotFromBytes(FileBytes::Copy(c.image));
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
     EXPECT_NE(opened.status().message().find(std::string(c.section) +
